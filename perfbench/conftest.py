@@ -1,0 +1,7 @@
+"""Make ``repro`` (under ``src/``) and the harness modules importable."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
