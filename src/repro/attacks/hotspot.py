@@ -11,7 +11,9 @@ corrupted parameter clusters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,6 +22,10 @@ from repro.attacks.base import AttackOutcome, BlockEffect
 from repro.attacks.registry import AttackKind, register_attack
 from repro.utils.rng import default_rng, seed_int
 from repro.utils.validation import check_positive
+
+if TYPE_CHECKING:
+    from repro.thermal.floorplan import Floorplan
+    from repro.thermal.grid_solver import GridThermalSolver, ThermalSolverConfig
 
 __all__ = ["HotspotAttackConfig", "HotspotAttack", "solve_bank_heat"]
 
@@ -72,6 +78,22 @@ class HotspotAttackConfig:
         check_positive(self.attacked_bank_min_rise_k, "attacked_bank_min_rise_k")
 
 
+@functools.lru_cache(maxsize=8)
+def _shared_solver(config: ThermalSolverConfig) -> GridThermalSolver:
+    """One solver, hence one LU factorization, per thermal configuration."""
+    from repro.thermal.grid_solver import GridThermalSolver
+
+    return GridThermalSolver(config)
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_floorplan(num_banks: int) -> Floorplan:
+    """One floorplan, with its cached per-bank cell slices, per bank count."""
+    from repro.thermal.floorplan import Floorplan
+
+    return Floorplan(num_banks=num_banks)
+
+
 def solve_bank_heat(
     num_banks: int,
     heated_banks: np.ndarray,
@@ -83,22 +105,24 @@ def solve_bank_heat(
     """Per-bank steady-state temperature rise for one block.
 
     Shared by every thermal attack kind (hotspot heater overdrive, crosstalk
-    leakage): the heat sources differ, the substrate physics does not.
+    leakage): the heat sources differ, the substrate physics does not.  The
+    solver and floorplan come from small bounded caches, so repeated calls
+    (every sampled scenario) reuse one LU factorization per grid config,
+    shared by the CONV and FC blocks, and one set of bank cell slices per
+    block size.  Neither holds per-call state, so results are identical to
+    a freshly built solver and floorplan.
     """
-    from repro.thermal.floorplan import Floorplan
-    from repro.thermal.grid_solver import GridThermalSolver, ThermalSolverConfig
+    from repro.thermal.grid_solver import ThermalSolverConfig
     from repro.thermal.heatmap import simulate_hotspot_attack
 
-    floorplan = Floorplan(num_banks=num_banks)
-    solver = GridThermalSolver(
-        ThermalSolverConfig(grid_rows=grid_rows, grid_cols=grid_cols)
-    )
     result = simulate_hotspot_attack(
-        floorplan,
+        _shared_floorplan(int(num_banks)),
         attacked_banks=[int(b) for b in heated_banks],
         heater_power_mw=heater_power_mw,
         baseline_power_mw=baseline_power_mw,
-        solver=solver,
+        solver=_shared_solver(
+            ThermalSolverConfig(grid_rows=int(grid_rows), grid_cols=int(grid_cols))
+        ),
     )
     return result.bank_temperature_rise_k
 

@@ -21,9 +21,6 @@ math but trades allocations and serial slab loops for
 * preallocated, reused im2col workspaces keyed by ``(shape, dtype)`` on the
   inference/ensemble paths (where the patch matrix is consumed immediately
   and never cached for backward),
-* a single-pass im2col that writes patches directly in the final
-  ``(batch, oh, ow, C, kh, kw)`` layout instead of filling an intermediate
-  layout and copying through a transpose,
 * threaded batched matmuls that split the variant/scenario slab axis across
   a shared :class:`~concurrent.futures.ThreadPoolExecutor` (NumPy's BLAS
   releases the GIL; ``REPRO_NN_THREADS`` / ``--threads`` control the width),
@@ -305,12 +302,8 @@ class ComputeBackend:
 
     # --- pooling -----------------------------------------------------------------
     def window_max(self, x: np.ndarray, kernel: int) -> np.ndarray:
-        """Non-overlapping ``kernel x kernel`` window max over NCHW input."""
-        batch, channels, height, width = x.shape
-        windows = x.reshape(
-            batch, channels, height // kernel, kernel, width // kernel, kernel
-        )
-        return windows.max(axis=(3, 5))
+        """Non-overlapping ``kernel x kernel`` window max over the last two axes."""
+        return F.window_max(x, kernel)
 
     # --- batch norm --------------------------------------------------------------
     def stacked_moments(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,7 +346,7 @@ class FastBackend(ComputeBackend):
 
     name = "fast"
     description = (
-        "reused im2col workspaces, single-pass unfold, threaded slab matmuls, "
+        "reused im2col workspaces, threaded slab matmuls, "
         "fused stacked moments, optional numba kernels"
     )
 
@@ -374,39 +367,13 @@ class FastBackend(ComputeBackend):
         transient: bool = False,
     ) -> tuple[np.ndarray, int, int]:
         if not transient:
-            # The write-direct pass below only beats the reference fill +
-            # transpose copy when the allocation is amortized by workspace
-            # reuse; a fresh non-transient patch matrix (e.g. conv cols kept
-            # for the backward) is faster through the reference layout.
             return F.im2col(x, kernel_h, kernel_w, stride, padding)
         batch, channels, height, width = x.shape
         out_h = F.conv_output_size(height, kernel_h, stride, padding)
         out_w = F.conv_output_size(width, kernel_w, stride, padding)
-        if padding > 0:
-            x = np.pad(
-                x,
-                ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                mode="constant",
-            )
-        # Write patches directly in the final (batch, oh, ow, C, kh, kw)
-        # layout: one strided pass into the reused workspace instead of the
-        # reference's allocate + fill + full transpose copy.  Element values
-        # and the resulting C-contiguous 2-D layout match the reference
-        # exactly.
         shape = (batch, out_h, out_w, channels, kernel_h, kernel_w)
-        patches = self._workspaces.borrow(shape, x.dtype)
-        for ky in range(kernel_h):
-            y_end = ky + stride * out_h
-            for kx in range(kernel_w):
-                x_end = kx + stride * out_w
-                patches[:, :, :, :, ky, kx] = x[
-                    :, :, ky:y_end:stride, kx:x_end:stride
-                ].transpose(0, 2, 3, 1)
-        return (
-            patches.reshape(batch * out_h * out_w, channels * kernel_h * kernel_w),
-            out_h,
-            out_w,
-        )
+        workspace = self._workspaces.borrow(shape, x.dtype)
+        return F.im2col(x, kernel_h, kernel_w, stride, padding, out=workspace)
 
     def stacked_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if (

@@ -8,6 +8,7 @@ __all__ = [
     "conv_output_size",
     "im2col",
     "col2im",
+    "window_max",
     "softmax",
     "log_softmax",
     "relu",
@@ -27,33 +28,59 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+#: Patch bytes written per block by :func:`im2col`.  Each block takes
+#: ``kernel_h * kernel_w`` strided passes, so it is sized to stay in L2.
+_IM2COL_BLOCK_BYTES = 1 << 19
+
+
 def im2col(
-    x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
+    x: np.ndarray,
+    kernel_h: int,
+    kernel_w: int,
+    stride: int,
+    padding: int,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Unfold ``x`` (NCHW) into a matrix of sliding patches.
 
     Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
     ``(N * out_h * out_w, C * kernel_h * kernel_w)``.
+
+    The patches are written in one pass directly in the final
+    ``(N, out_h, out_w, C, kernel_h, kernel_w)`` layout from an NHWC copy of
+    the padded input, block by block over the batch so each block's strided
+    writes stay in cache.  ``out`` optionally supplies that 6-D C-contiguous
+    destination (a reused workspace).
     """
     batch, channels, height, width = x.shape
     out_h = conv_output_size(height, kernel_h, stride, padding)
     out_w = conv_output_size(width, kernel_w, stride, padding)
-    if padding > 0:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-        )
-    cols = np.empty(
-        (batch, channels, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype
+    padded = np.zeros(
+        (batch, height + 2 * padding, width + 2 * padding, channels), dtype=x.dtype
     )
-    for ky in range(kernel_h):
-        y_end = ky + stride * out_h
-        for kx in range(kernel_w):
-            x_end = kx + stride * out_w
-            cols[:, :, ky, kx, :, :] = x[:, :, ky:y_end:stride, kx:x_end:stride]
-    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(
-        batch * out_h * out_w, channels * kernel_h * kernel_w
+    padded[:, padding : padding + height, padding : padding + width, :] = x.transpose(
+        0, 2, 3, 1
     )
-    return cols, out_h, out_w
+    shape = (batch, out_h, out_w, channels, kernel_h, kernel_w)
+    if out is None:
+        out = np.empty(shape, dtype=x.dtype)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"im2col out must be C-contiguous with shape {shape}")
+    per_sample = out_h * out_w * channels * kernel_h * kernel_w * x.itemsize
+    step = max(1, _IM2COL_BLOCK_BYTES // max(per_sample, 1))
+    for start in range(0, batch, step):
+        source = padded[start : start + step]
+        block = out[start : start + step]
+        for ky in range(kernel_h):
+            y_end = ky + stride * out_h
+            for kx in range(kernel_w):
+                x_end = kx + stride * out_w
+                block[..., ky, kx] = source[:, ky:y_end:stride, kx:x_end:stride, :]
+    return (
+        out.reshape(batch * out_h * out_w, channels * kernel_h * kernel_w),
+        out_h,
+        out_w,
+    )
 
 
 def col2im(
@@ -86,6 +113,30 @@ def col2im(
     if padding > 0:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded
+
+
+def window_max(x: np.ndarray, kernel: int) -> np.ndarray:
+    """Non-overlapping ``kernel x kernel`` window max over the last two axes.
+
+    Combines the ``kernel**2`` strided window-element views with elementwise
+    maxima; any leading axes (batch, channels, scenarios) ride along.  The
+    running maximum is the *second* operand because ``np.maximum`` returns
+    it on ties, so the earliest ``(ky, kx)`` wins exactly as in a flat
+    ``argmax`` over the window.  That keeps signed zeros (``-0.0`` from
+    ``x * mask``) bit-identical to the im2col + argmax path.  The result is
+    C-contiguous.
+    """
+    height, width = x.shape[-2:]
+    if height % kernel or width % kernel:
+        raise ValueError(
+            f"window_max needs spatial size divisible by {kernel}, got {(height, width)}"
+        )
+    out = x[..., ::kernel, ::kernel].astype(x.dtype, order="C", copy=True)
+    for ky in range(kernel):
+        for kx in range(kernel):
+            if ky or kx:
+                np.maximum(x[..., ky::kernel, kx::kernel], out, out=out)
+    return out
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Pooling layers: max, average and global average pooling.
 
 Every pooling layer treats each sample independently, so scenario-stacked
-``(S, N, C, H, W)`` inputs from the ensemble forward path are handled by
-folding the scenario axis into the batch axis (see :mod:`repro.nn.ensemble`);
-ensemble forwards drop the backward cache since they are inference-only.
+``(S, N, C, H, W)`` inputs from the ensemble forward path are handled either
+by a kernel that works over any leading axes (non-overlapping max pooling)
+or by folding the scenario axis into the batch axis (see
+:mod:`repro.nn.ensemble`); eval-mode forwards drop the backward cache since
+they are inference-only.
 """
 
 from __future__ import annotations
@@ -19,7 +21,20 @@ __all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
 
 
 class MaxPool2D(Module):
-    """Max pooling over non-overlapping (or strided) windows."""
+    """Max pooling over non-overlapping (or strided) windows.
+
+    The ubiquitous non-overlapping, unpadded geometry (``stride == kernel``,
+    spatial size divisible by the kernel) runs one window-max kernel for
+    every input rank and mode: the ``k*k`` strided window-element views
+    combined with elementwise maxima (:meth:`ComputeBackend.window_max`).
+    Training additionally keeps ``k*k`` first-match winner masks for the
+    backward.  Ties keep the earliest ``(ky, kx)`` in row-major order, the
+    flat ``argmax`` winner of the im2col path, so values (signed zeros
+    included) *and* gradient routing are bit-identical to it.  Overlapping
+    or padded geometries take the im2col + argmax path.
+
+    Eval-mode forwards cache nothing, so ``backward`` after one raises.
+    """
 
     def __init__(self, kernel_size: int = 2, stride: int | None = None, padding: int = 0):
         super().__init__()
@@ -35,28 +50,25 @@ class MaxPool2D(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)
         self._stacked_lead = None
+        self._cache = None
         self._window_cache = None
-        if x.ndim == 5:
+        if self._is_window_geometry(x):
             if self.training:
-                # Variant-stacked training: fold the variant axis into the
-                # batch axis so the cached pooling path (and its backward)
-                # applies unchanged, then restore the leading axis.  The
-                # ubiquitous non-overlapping, unpadded geometry takes the
-                # im2col-free window path — windows are a plain reshape with
-                # the same (kh, kw) element order as the im2col columns, so
-                # max values *and* argmax tie-breaks (hence gradient routing)
-                # are bit-identical to the windowed reference.
-                folded, lead = fold_scenarios(x)
-                if self._is_reshape_geometry(folded):
-                    out = self._forward_windows_train(folded)
-                else:
-                    out = self.forward(folded)
-                self._stacked_lead = lead
-                return unfold_scenarios(out, lead)
+                return self._forward_windows_train(x)
+            return active_backend().window_max(x, self.kernel_size)
+        if x.ndim == 5:
+            # Stacked (variant or scenario) input: fold the leading axis into
+            # the batch axis so the im2col path and its backward apply
+            # unchanged, then restore it.
             folded, lead = fold_scenarios(x)
-            out = self._forward_inference(folded)
-            self._cache = None
+            out = self._forward_im2col(folded)
+            if self.training:
+                self._stacked_lead = lead
             return unfold_scenarios(out, lead)
+        return self._forward_im2col(x)
+
+    def _forward_im2col(self, x: np.ndarray) -> np.ndarray:
+        """Windowed im2col + argmax path for overlapping or padded windows."""
         batch, channels, _, _ = x.shape
         k = self.kernel_size
         # Treat each channel independently so the window matrix is (N*C, ...)
@@ -69,12 +81,13 @@ class MaxPool2D(Module):
         argmax = np.argmax(cols, axis=1)
         out = cols[np.arange(cols.shape[0]), argmax]
         out = out.reshape(batch, channels, out_h, out_w)
-        self._cache = (argmax, cols.shape, reshaped.shape, x.shape, out_h, out_w)
+        if self.training:
+            self._cache = (argmax, cols.shape, reshaped.shape, x.shape)
         return out
 
-    def _is_reshape_geometry(self, x: np.ndarray) -> bool:
+    def _is_window_geometry(self, x: np.ndarray) -> bool:
         k = self.kernel_size
-        height, width = x.shape[2:]
+        height, width = x.shape[-2:]
         return (
             self.padding == 0
             and self.stride == k
@@ -88,64 +101,35 @@ class MaxPool2D(Module):
         return [x_or_grad[..., ky::k, kx::k] for ky in range(k) for kx in range(k)]
 
     def _forward_windows_train(self, x: np.ndarray) -> np.ndarray:
-        """Cached im2col-free max pooling for non-overlapping windows.
+        """Window-max forward that keeps first-match winner masks.
 
-        Works on strided window-element views with plain elementwise maxima —
-        no im2col patch matrix and no argmax over a tiny trailing axis (both
-        are iterator-overhead-bound for 2x2 windows).  The winner chain uses
-        strict ``>`` against the running maximum, so ties keep the earliest
-        (ky, kx) in row-major order — exactly the im2col path's flat
-        ``argmax`` winner — making values *and* gradient routing bit-identical
-        to the windowed reference.
+        Mask ``i`` marks the outputs whose earliest maximal window element is
+        element ``i``; the masks partition the output, so the backward
+        routes every gradient to exactly one input element.
         """
-        slices = self._window_slices(x)
-        # order='C' (not the default 'K'): the im2col reference emits
-        # C-contiguous outputs, and downstream layout-sensitive reductions
-        # (e.g. the relative noise scale) must see the same memory order.
-        out = slices[0].astype(np.float32, order="C", copy=True)
-        winner = np.zeros(out.shape, dtype=np.int8)
-        for index, piece in enumerate(slices[1:], start=1):
-            better = piece > out
-            np.copyto(out, piece, where=better)
-            winner[better] = index
-        self._window_cache = (winner, x.shape)
-        return out
-
-    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """Cache-free max pooling for the scenario-stacked ensemble path.
-
-        For the ubiquitous non-overlapping, unpadded case the windows are a
-        plain reshape, so the max runs without materializing the im2col patch
-        matrix or its argmax (``max`` is order-independent, so the result is
-        bit-identical to the windowed path).  Other geometries fall back to
-        the im2col forward.
-        """
-        k = self.kernel_size
-        batch, channels, height, width = x.shape
-        if (
-            self.padding == 0
-            and self.stride == k
-            and height % k == 0
-            and width % k == 0
-        ):
-            return active_backend().window_max(x, k)
-        out = self.forward(x)
-        self._cache = None
+        out = active_backend().window_max(x, self.kernel_size)
+        masks = []
+        claimed = np.zeros(out.shape, dtype=bool)
+        for piece in self._window_slices(x):
+            hit = (piece == out) & ~claimed
+            claimed |= hit
+            masks.append(hit)
+        self._window_cache = (masks, x.shape)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None and self._window_cache is None:
             raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float32)
-        if self._stacked_lead is not None:
-            folded, lead = fold_scenarios(grad_output)
-            return unfold_scenarios(self._backward_folded(folded), lead)
-        return self._backward_folded(grad_output)
-
-    def _backward_folded(self, grad_output: np.ndarray) -> np.ndarray:
         if self._window_cache is not None:
             return self._backward_windows(grad_output)
-        argmax, cols_shape, reshaped_shape, input_shape, out_h, out_w = self._cache
+        if self._stacked_lead is not None:
+            folded, lead = fold_scenarios(grad_output)
+            return unfold_scenarios(self._backward_im2col(folded), lead)
+        return self._backward_im2col(grad_output)
+
+    def _backward_im2col(self, grad_output: np.ndarray) -> np.ndarray:
+        argmax, cols_shape, reshaped_shape, input_shape = self._cache
         grad_cols = np.zeros(cols_shape, dtype=np.float32)
         grad_flat = grad_output.reshape(-1)
         grad_cols[np.arange(cols_shape[0]), argmax] = grad_flat
@@ -156,11 +140,11 @@ class MaxPool2D(Module):
         return grad_reshaped.reshape(input_shape)
 
     def _backward_windows(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backward of :meth:`_forward_windows_train` (non-overlapping scatter)."""
-        winner, input_shape = self._window_cache
-        grad_input = np.zeros(input_shape, dtype=np.float32)
-        for index, piece in enumerate(self._window_slices(grad_input)):
-            np.copyto(piece, grad_output, where=(winner == index))
+        """Backward of :meth:`_forward_windows_train`: one write per plane."""
+        masks, input_shape = self._window_cache
+        grad_input = np.empty(input_shape, dtype=np.float32)
+        for plane, mask in zip(self._window_slices(grad_input), masks):
+            plane[...] = np.where(mask, grad_output, np.float32(0.0))
         return grad_input
 
     def __repr__(self) -> str:

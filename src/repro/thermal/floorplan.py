@@ -69,6 +69,7 @@ class Floorplan:
         self.spacing_um = float(spacing_um)
         self.margin_um = float(margin_um)
         self.placements = self._place()
+        self._cell_slices: dict[tuple[int, int], tuple[tuple[slice, slice], ...]] = {}
 
     def _place(self) -> list[BankPlacement]:
         placements = []
@@ -135,3 +136,12 @@ class Floorplan:
         x1 = max(x1, x0 + 1)
         y1 = max(y1, y0 + 1)
         return slice(y0, min(y1, rows)), slice(x0, min(x1, cols))
+
+    def cell_slices(self, grid_shape: tuple[int, int]) -> tuple[tuple[slice, slice], ...]:
+        """:meth:`bank_cells` of every bank, computed once per grid shape."""
+        key = (int(grid_shape[0]), int(grid_shape[1]))
+        slices = self._cell_slices.get(key)
+        if slices is None:
+            slices = tuple(self.bank_cells(bank, key) for bank in range(self.num_banks))
+            self._cell_slices[key] = slices
+        return slices

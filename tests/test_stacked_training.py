@@ -32,6 +32,7 @@ from repro.nn import (
     TrainingConfig,
 )
 from repro.nn.ensemble import stack_state_dicts
+from repro.nn.functional import col2im, im2col
 from repro.nn.losses import CrossEntropyLoss, l2_penalty
 from repro.nn.module import Module
 
@@ -242,6 +243,70 @@ class TestMaxPoolWindowsBitIdentity:
         assert np.array_equal(out_ref, out_win)
         assert np.array_equal(grad_ref, grad_win)
         assert out_win.flags["C_CONTIGUOUS"]
+
+    @staticmethod
+    def _im2col_argmax(x, grad):
+        """The windowed im2col + argmax reference over any leading axes."""
+        planes = x.reshape(-1, 1, *x.shape[-2:])
+        cols, out_h, out_w = im2col(planes, 2, 2, 2, 0)
+        argmax = np.argmax(cols, axis=1)
+        rows = np.arange(cols.shape[0])
+        out = cols[rows, argmax].reshape(*x.shape[:-2], out_h, out_w)
+        grad_cols = np.zeros_like(cols)
+        grad_cols[rows, argmax] = grad.reshape(-1)
+        grad_in = col2im(grad_cols, planes.shape, 2, 2, 2, 0).reshape(x.shape)
+        return out, grad_in
+
+    @staticmethod
+    def _tie_inputs(shape):
+        rng = np.random.default_rng(11)
+        signed = rng.normal(size=shape).astype(np.float32)
+        signed[rng.random(shape) < 0.3] = 0.0
+        # ReLU's ``x * mask``: negatives become -0.0, exact zeros stay +0.0,
+        # so windows mix both signs of zero.
+        signed = signed * (signed > 0)
+        positive = (rng.integers(0, 3, size=shape) / 2).astype(np.float32)
+        return {"signed_zero": signed, "positive": positive}
+
+    @staticmethod
+    def _assert_bits_equal(actual, expected):
+        assert actual.shape == expected.shape
+        assert np.array_equal(actual.view(np.uint32), expected.view(np.uint32))
+
+    @pytest.mark.parametrize("ties", ["signed_zero", "positive"])
+    @pytest.mark.parametrize("shape", [(6, 3, 8, 8), (VARIANTS, 4, 3, 8, 6)])
+    def test_all_paths_bit_identical_to_im2col_argmax(self, ties, shape):
+        """Training and eval, 4-D and stacked 5-D: values keep the sign of
+        the earliest tied element and gradients route to it."""
+        x = self._tie_inputs(shape)[ties]
+        assert np.signbit(x).any() == (ties == "signed_zero")
+        grad = np.random.default_rng(12).normal(
+            size=shape[:-2] + (shape[-2] // 2, shape[-1] // 2)
+        ).astype(np.float32)
+        out_ref, grad_ref = self._im2col_argmax(x, grad)
+
+        train = MaxPool2D(2)
+        train.train()
+        out_train = train(x)
+        self._assert_bits_equal(out_train, out_ref)
+        self._assert_bits_equal(train.backward(grad), grad_ref)
+        assert out_train.flags["C_CONTIGUOUS"]
+
+        infer = MaxPool2D(2)
+        infer.eval()
+        out_eval = infer(x)
+        self._assert_bits_equal(out_eval, out_ref)
+        assert out_eval.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 4), (VARIANTS, 2, 3, 4, 4)])
+    def test_backward_after_eval_forward_raises(self, shape):
+        layer = MaxPool2D(2)
+        layer.train()
+        layer(np.ones(shape, dtype=np.float32))
+        layer.eval()
+        out = layer(np.ones(shape, dtype=np.float32))
+        with pytest.raises(RuntimeError):
+            layer.backward(np.ones_like(out))
 
 
 class TestStackedLoss:

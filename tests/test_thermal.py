@@ -159,3 +159,78 @@ class TestHotspotHeatmap:
         low = simulate_hotspot_attack(plan, attacked_banks=[12], heater_power_mw=100)
         high = simulate_hotspot_attack(plan, attacked_banks=[12], heater_power_mw=300)
         assert high.peak_rise_k > low.peak_rise_k
+
+
+class TestBankHeatReuse:
+    """``solve_bank_heat`` shares one solver per config and one floorplan per
+    block size, without changing a single bit of the result."""
+
+    #: The scaled accelerator's CONV and FC bank counts.
+    BLOCK_BANKS = (250, 450)
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        from repro.attacks import hotspot
+        from repro.thermal import grid_solver
+
+        hotspot._shared_solver.cache_clear()
+        hotspot._shared_floorplan.cache_clear()
+        calls = []
+        original = grid_solver.factorized
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(grid_solver, "factorized", counting)
+        yield calls
+        hotspot._shared_solver.cache_clear()
+        hotspot._shared_floorplan.cache_clear()
+
+    @staticmethod
+    def _fresh(num_banks, heated, rows, cols, heater_mw=300.0, baseline_mw=1.0):
+        solver = GridThermalSolver(ThermalSolverConfig(grid_rows=rows, grid_cols=cols))
+        return simulate_hotspot_attack(
+            Floorplan(num_banks=num_banks),
+            attacked_banks=list(heated),
+            heater_power_mw=heater_mw,
+            baseline_power_mw=baseline_mw,
+            solver=solver,
+        ).bank_temperature_rise_k
+
+    def test_conv_and_fc_share_one_factorization_per_config(self, factorizations):
+        from repro.attacks.hotspot import solve_bank_heat
+
+        rng = np.random.default_rng(0)
+        calls = []
+        for grid in ((48, 48), (24, 32)):
+            for _ in range(3):
+                for num_banks in self.BLOCK_BANKS:
+                    heated = np.sort(rng.choice(num_banks, size=5, replace=False))
+                    heat = solve_bank_heat(num_banks, heated, 300.0, 1.0, *grid)
+                    calls.append((num_banks, heated, grid, heat))
+        assert factorizations == [(48 * 48, 48 * 48), (24 * 32, 24 * 32)]
+        for num_banks, heated, grid, heat in calls:
+            assert np.array_equal(heat, self._fresh(num_banks, heated, *grid))
+
+    def test_caches_are_bounded(self, factorizations):
+        from repro.attacks import hotspot
+
+        for size in range(4, 4 + 2 * hotspot._shared_solver.cache_info().maxsize):
+            hotspot.solve_bank_heat(size, np.array([0]), 50.0, 0.5, size, size + 1)
+        for cache in (hotspot._shared_solver, hotspot._shared_floorplan):
+            info = cache.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize
+
+    def test_solvers_keep_their_own_factorization_cache(self):
+        config = ThermalSolverConfig(grid_rows=6, grid_cols=6)
+        first, second = GridThermalSolver(config), GridThermalSolver(config)
+        first.solve(np.zeros((6, 6)))
+        assert first._solver_cache and not second._solver_cache
+
+    def test_cell_slices_match_bank_cells(self):
+        plan = Floorplan(num_banks=30, banks_per_row=6)
+        slices = plan.cell_slices((20, 24))
+        assert slices is plan.cell_slices((20, 24))
+        assert slices == tuple(plan.bank_cells(bank, (20, 24)) for bank in range(30))
