@@ -297,7 +297,10 @@ class ComputeBackend:
         stride: int,
         padding: int,
     ) -> np.ndarray:
-        """Fold a patch matrix back into NCHW, summing overlaps."""
+        """Fold a patch matrix back into NCHW shape, summing overlaps.
+
+        The result is a view of channels-last (NHWC) memory.
+        """
         return F.col2im(cols, input_shape, kernel_h, kernel_w, stride, padding)
 
     # --- pooling -----------------------------------------------------------------

@@ -28,8 +28,9 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-#: Patch bytes written per block by :func:`im2col`.  Each block takes
-#: ``kernel_h * kernel_w`` strided passes, so it is sized to stay in L2.
+#: Patch bytes per batch block of :func:`im2col` and :func:`col2im`.  Each
+#: block takes ``kernel_h * kernel_w`` strided passes, so it is sized to stay
+#: in L2.
 _IM2COL_BLOCK_BYTES = 1 << 19
 
 
@@ -95,24 +96,34 @@ def col2im(
 
     Overlapping patch contributions are summed, which is exactly the gradient
     of the unfold operation.
+
+    The fold accumulates channels-last: ``kernel_h * kernel_w`` strided
+    slice-adds into a zero NHWC padded buffer, block by block over the batch
+    like :func:`im2col`.  Every element sums its addends in ``(ky, kx)``
+    order, so the values are bit-identical to an NCHW scatter.  The result
+    is an NCHW-shaped view of NHWC memory (the memory order of the conv
+    GEMM's activations), not a C-contiguous array.
     """
     batch, channels, height, width = input_shape
     out_h = conv_output_size(height, kernel_h, stride, padding)
     out_w = conv_output_size(width, kernel_w, stride, padding)
-    cols = cols.reshape(batch, out_h, out_w, channels, kernel_h, kernel_w).transpose(
-        0, 3, 4, 5, 1, 2
-    )
+    cols = cols.reshape(batch, out_h, out_w, channels, kernel_h, kernel_w)
     padded = np.zeros(
-        (batch, channels, height + 2 * padding, width + 2 * padding), dtype=cols.dtype
+        (batch, height + 2 * padding, width + 2 * padding, channels), dtype=cols.dtype
     )
-    for ky in range(kernel_h):
-        y_end = ky + stride * out_h
-        for kx in range(kernel_w):
-            x_end = kx + stride * out_w
-            padded[:, :, ky:y_end:stride, kx:x_end:stride] += cols[:, :, ky, kx, :, :]
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+    per_sample = out_h * out_w * channels * kernel_h * kernel_w * cols.itemsize
+    step = max(1, _IM2COL_BLOCK_BYTES // max(per_sample, 1))
+    for start in range(0, batch, step):
+        source = cols[start : start + step]
+        block = padded[start : start + step]
+        for ky in range(kernel_h):
+            y_end = ky + stride * out_h
+            for kx in range(kernel_w):
+                x_end = kx + stride * out_w
+                block[:, ky:y_end:stride, kx:x_end:stride, :] += source[..., ky, kx]
+    return padded[:, padding : padding + height, padding : padding + width, :].transpose(
+        0, 3, 1, 2
+    )
 
 
 def window_max(x: np.ndarray, kernel: int) -> np.ndarray:

@@ -11,7 +11,13 @@ __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh"]
 
 
 class ReLU(Module):
-    """Rectified linear unit."""
+    """Rectified linear unit.
+
+    The input gradient is written in the memory order of the forward input
+    (kept as the mask's order), so a conv activation's channels-last layout
+    survives the backward and ``Conv2D.backward`` reads it without a copy.
+    Eval-mode forwards cache nothing, so ``backward`` after one raises.
+    """
 
     def __init__(self):
         super().__init__()
@@ -19,13 +25,18 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = mask if self.training else None
+        return x * mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        return np.asarray(grad_output, dtype=np.float32) * self._mask
+        grad_input = np.empty_like(self._mask, dtype=np.float32)
+        np.multiply(
+            np.asarray(grad_output, dtype=np.float32), self._mask, out=grad_input
+        )
+        return grad_input
 
     def __repr__(self) -> str:
         return "ReLU()"

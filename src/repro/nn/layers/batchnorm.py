@@ -22,6 +22,12 @@ class BatchNorm2D(Module):
     (``beta``) parameters are tagged ``kind="other"`` — CrossLight-style
     accelerators keep them in the electronic post-processing stage, so they
     are never mapped onto MRs and HT attacks do not corrupt them.
+
+    ``backward`` reduces over a C-contiguous copy of its incoming gradient:
+    numpy groups its pairwise sums by memory layout, and upstream layers hand
+    back gradients in their activation's memory order (channels-last after a
+    conv).  Normalizing first keeps the parameter and input gradients
+    bit-identical whatever layout arrives.
     """
 
     _buffer_names = ("running_mean", "running_var")
@@ -146,7 +152,7 @@ class BatchNorm2D(Module):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x_hat, inv_std, input_shape = self._cache
-        grad_output = np.asarray(grad_output, dtype=np.float32)
+        grad_output = np.ascontiguousarray(grad_output, dtype=np.float32)
         if len(input_shape) == 5:
             return self._backward_stacked(grad_output)
         batch, _, height, width = input_shape

@@ -81,10 +81,10 @@ class Conv2D(Module):
         weight_matrix = self.weight.data.reshape(self.out_channels, -1)
         out = backend.matmul(cols, weight_matrix.T)
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data
         batch = x.shape[0]
         out = out.reshape(batch, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-        self._cache = (cols, x.shape, out_h, out_w)
+        self._cache = (cols, x.shape, out_h, out_w) if self.training else None
         return out
 
     def _forward_ensemble(self, x: np.ndarray) -> np.ndarray:
@@ -139,9 +139,11 @@ class Conv2D(Module):
             out = backend.stacked_matmul(cols, weight_matrix.transpose(0, 2, 1))
         if self.bias is not None:
             if self.bias.stacked is not None:
+                # Not in place: S stacked biases broadcast a singleton weight
+                # stack's (1, M, F) output up to (S, M, F).
                 out = out + self.bias.stacked[:, None, :]
             else:
-                out = out + self.bias.data
+                out += self.bias.data
         lead = out.shape[0]
         return out.reshape(lead, batch, out_h, out_w, self.out_channels).transpose(
             0, 1, 4, 2, 3
@@ -191,7 +193,7 @@ class Conv2D(Module):
             shared_input = False
             input_shape = x.shape
         if self.bias is not None:
-            out = out + self.bias.stacked[:, None, :]
+            out += self.bias.stacked[:, None, :]
         self._cache = ("stacked", cols, shared_input, input_shape, out_h, out_w)
         return out.reshape(variants, batch, out_h, out_w, self.out_channels).transpose(
             0, 1, 4, 2, 3
@@ -206,7 +208,8 @@ class Conv2D(Module):
         grad_output = np.asarray(grad_output, dtype=np.float32)
         backend = active_backend()
         batch = input_shape[0]
-        # (N, F, OH, OW) -> (N*OH*OW, F)
+        # (N, F, OH, OW) -> (N*OH*OW, F): a free view when the gradient has
+        # the forward output's channels-last memory order.
         grad_matrix = grad_output.transpose(0, 2, 3, 1).reshape(batch * out_h * out_w, -1)
         weight_matrix = self.weight.data.reshape(self.out_channels, -1)
         self.weight.grad += backend.matmul(grad_matrix.T, cols).reshape(
@@ -231,7 +234,7 @@ class Conv2D(Module):
         backend = active_backend()
         variants = self.weight.stacked.shape[0]
         batch = input_shape[0] if shared_input else input_shape[1]
-        # (V, N, F, OH, OW) -> (V, N*OH*OW, F)
+        # (V, N, F, OH, OW) -> (V, N*OH*OW, F), a view for channels-last input.
         grad_matrix = grad_output.transpose(0, 1, 3, 4, 2).reshape(
             variants, batch * out_h * out_w, -1
         )

@@ -33,6 +33,10 @@ class MaxPool2D(Module):
     included) *and* gradient routing are bit-identical to it.  Overlapping
     or padded geometries take the im2col + argmax path.
 
+    The window backward writes the input gradient in the forward input's
+    memory order (a conv activation's channels-last layout stays
+    channels-last), so the layers below it read it without a copy.
+
     Eval-mode forwards cache nothing, so ``backward`` after one raises.
     """
 
@@ -114,7 +118,10 @@ class MaxPool2D(Module):
             hit = (piece == out) & ~claimed
             claimed |= hit
             masks.append(hit)
-        self._window_cache = (masks, x.shape)
+        # Axes from outermost to innermost in memory (ties keep axis order),
+        # so the backward can lay its gradient out like ``x``.
+        memory_order = sorted(range(x.ndim), key=lambda axis: -x.strides[axis])
+        self._window_cache = (masks, x.shape, memory_order)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -141,8 +148,10 @@ class MaxPool2D(Module):
 
     def _backward_windows(self, grad_output: np.ndarray) -> np.ndarray:
         """Backward of :meth:`_forward_windows_train`: one write per plane."""
-        masks, input_shape = self._window_cache
-        grad_input = np.empty(input_shape, dtype=np.float32)
+        masks, input_shape, memory_order = self._window_cache
+        grad_input = np.empty(
+            [input_shape[axis] for axis in memory_order], dtype=np.float32
+        ).transpose(np.argsort(memory_order))
         for plane, mask in zip(self._window_slices(grad_input), masks):
             plane[...] = np.where(mask, grad_output, np.float32(0.0))
         return grad_input

@@ -4,6 +4,8 @@ model checkpoint cache."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from repro.nn import (
     GlobalAvgPool2D,
     Linear,
     MaxPool2D,
+    ReLU,
     Sequential,
     StackedCrossEntropyLoss,
     StackedTrainer,
@@ -108,6 +111,12 @@ def stacked_input_gradient_check(
         flat[flat_index] = original
         numeric = (up - down) / (2 * eps)
         assert abs(numeric - grad_in.reshape(-1)[flat_index]) < atol
+
+
+def assert_bits_equal(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Same shape and the same float32 bit patterns (signed zeros included)."""
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint32), expected.view(np.uint32))
 
 
 @pytest.fixture
@@ -268,11 +277,6 @@ class TestMaxPoolWindowsBitIdentity:
         positive = (rng.integers(0, 3, size=shape) / 2).astype(np.float32)
         return {"signed_zero": signed, "positive": positive}
 
-    @staticmethod
-    def _assert_bits_equal(actual, expected):
-        assert actual.shape == expected.shape
-        assert np.array_equal(actual.view(np.uint32), expected.view(np.uint32))
-
     @pytest.mark.parametrize("ties", ["signed_zero", "positive"])
     @pytest.mark.parametrize("shape", [(6, 3, 8, 8), (VARIANTS, 4, 3, 8, 6)])
     def test_all_paths_bit_identical_to_im2col_argmax(self, ties, shape):
@@ -288,25 +292,99 @@ class TestMaxPoolWindowsBitIdentity:
         train = MaxPool2D(2)
         train.train()
         out_train = train(x)
-        self._assert_bits_equal(out_train, out_ref)
-        self._assert_bits_equal(train.backward(grad), grad_ref)
+        assert_bits_equal(out_train, out_ref)
+        assert_bits_equal(train.backward(grad), grad_ref)
         assert out_train.flags["C_CONTIGUOUS"]
 
         infer = MaxPool2D(2)
         infer.eval()
         out_eval = infer(x)
-        self._assert_bits_equal(out_eval, out_ref)
+        assert_bits_equal(out_eval, out_ref)
         assert out_eval.flags["C_CONTIGUOUS"]
 
     @pytest.mark.parametrize("shape", [(2, 3, 4, 4), (VARIANTS, 2, 3, 4, 4)])
     def test_backward_after_eval_forward_raises(self, shape):
-        layer = MaxPool2D(2)
+        """Eval-mode forwards drop the backward cache a training forward left."""
+        for layer in (MaxPool2D(2), ReLU(), Conv2D(3, 2, kernel_size=3, padding=1, rng=0)):
+            layer.train()
+            layer(np.ones(shape, dtype=np.float32))
+            layer.eval()
+            out = layer(np.ones(shape, dtype=np.float32))
+            with pytest.raises(RuntimeError):
+                layer.backward(np.ones_like(out))
+
+
+def channels_last(x: np.ndarray) -> np.ndarray:
+    """``x``'s values as an NCHW view of NHWC memory (the conv GEMM layout)."""
+    order = (*range(x.ndim - 3), x.ndim - 2, x.ndim - 1, x.ndim - 3)
+    return np.ascontiguousarray(x.transpose(order)).transpose(np.argsort(order))
+
+
+def memory_order(x: np.ndarray) -> list[int]:
+    """Axes from outermost to innermost in memory."""
+    return sorted(range(x.ndim), key=lambda axis: -x.strides[axis])
+
+
+class TestGradientMemoryOrder:
+    """Backward passes keep the activation layout and are layout-blind in value.
+
+    Every case feeds a C-order array and a channels-last copy of the same
+    values; the results must agree bit for bit.
+    """
+
+    SHAPES = [(4, 3, 8, 6), (VARIANTS, 4, 3, 8, 6)]
+
+    @staticmethod
+    def _layouts(x: np.ndarray) -> list[np.ndarray]:
+        return [np.ascontiguousarray(x), channels_last(x)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("make_layer", [ReLU, lambda: MaxPool2D(2)], ids=["relu", "maxpool"])
+    def test_input_gradient_has_forward_input_memory_order(self, make_layer, shape):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=shape).astype(np.float32)
+        grads = []
+        for x_layout in self._layouts(x):
+            layer = make_layer()
+            layer.train()
+            out = layer(x_layout)
+            grad_out = np.random.default_rng(22).normal(size=out.shape).astype(np.float32)
+            grad = layer.backward(grad_out)
+            assert memory_order(grad) == memory_order(x_layout)
+            grads.append(grad)
+        assert_bits_equal(grads[1], grads[0])
+
+    @staticmethod
+    def _layer(kind: str, stacked: bool) -> Module:
+        layer = Conv2D(3, 5, kernel_size=3, padding=1, rng=3) if kind == "conv" else BatchNorm2D(3)
+        if stacked:
+            load_trainable_stack(layer, np.random.default_rng(4))
         layer.train()
-        layer(np.ones(shape, dtype=np.float32))
-        layer.eval()
-        out = layer(np.ones(shape, dtype=np.float32))
-        with pytest.raises(RuntimeError):
-            layer.backward(np.ones_like(out))
+        return layer
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kind", ["conv", "batchnorm"])
+    def test_backward_is_bit_identical_for_either_gradient_layout(self, kind, shape):
+        rng = np.random.default_rng(23)
+        x = rng.normal(1.0, 2.0, size=shape).astype(np.float32)
+        stacked = len(shape) == 5
+        results = []
+        for layout in range(2):
+            layer = self._layer(kind, stacked)
+            out = layer(x)
+            grad_out = self._layouts(
+                np.random.default_rng(24).normal(size=out.shape).astype(np.float32)
+            )[layout]
+            grad_in = layer.backward(grad_out)
+            grads = {
+                name: param.stacked_grad if stacked else param.grad
+                for name, param in layer.named_parameters()
+            }
+            results.append((grad_in, grads))
+        (grad_c, params_c), (grad_cl, params_cl) = results
+        assert_bits_equal(grad_cl, grad_c)
+        for name in params_c:
+            assert_bits_equal(params_cl[name], params_c[name])
 
 
 class TestStackedLoss:
@@ -514,6 +592,57 @@ class TestStackedSerialEquivalence:
         partial = {"layers.0.weight": np.zeros((2, 3, 4), dtype=np.float32)}
         with pytest.raises(KeyError, match="cover every parameter"):
             layer.load_stacked_state(partial, trainable=True)
+
+
+class TestTrainingGoldenDigest:
+    """sha256 of the trained grids' full state, pinned.
+
+    The serial-vs-stacked tests above cannot see a drift that moves both
+    paths together (a layout-sensitive reduction changing in a layer both
+    share); these digests can.  Each grid includes a noise-aware variant.
+    """
+
+    CASES = {
+        "cnn_mnist": (
+            "mnist", 160, {}, VariantSpec("l2+n3", l2=L2Config(), noise=NoiseAwareConfig(std=0.3)),
+        ),
+        "resnet18": (
+            "cifar10", 64, {}, VariantSpec("l2+n2", l2=L2Config(), noise=NoiseAwareConfig(std=0.2)),
+        ),
+        "vgg16_variant": (
+            "imagenette", 32, {"image_size": 32},
+            VariantSpec("l2+n2", l2=L2Config(), noise=NoiseAwareConfig(std=0.2)),
+        ),
+    }
+    GOLDEN_SHA = {
+        "cnn_mnist": "e2dcb6a0a7e93e5b3ad9c85d316a8154ae16c7e049efb5d17274b0a4c853d9b1",
+        "resnet18": "01fcf9b8f9f765111c84386fb50ffc378cfffc3122dc5baabf79191431423452",
+        "vgg16_variant": "213f87386e2b0525881efcb44967df86e28c713b172ba8286cc7b950a5f6cebf",
+    }
+
+    @staticmethod
+    def _digest(results) -> str:
+        digest = hashlib.sha256()
+        for result in results:
+            digest.update(result.spec.name.encode())
+            state = result.model.full_state_dict()
+            for name in sorted(state):
+                value = np.ascontiguousarray(state[name])
+                digest.update(f"{name}:{value.dtype.str}:{value.shape}".encode())
+                digest.update(value.tobytes())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("trainer", [train_variant_grid, train_variant_grid_stacked],
+                             ids=["serial", "stacked"])
+    @pytest.mark.parametrize("model_name", list(CASES))
+    def test_trained_state_matches_golden(self, model_name, trainer):
+        dataset_name, samples, image_kwargs, noisy = self.CASES[model_name]
+        dataset = load_dataset(dataset_name, num_samples=samples, seed=0, **image_kwargs)
+        split = train_test_split(dataset, 0.25, seed=1)
+        config = TrainingConfig(epochs=1, batch_size=16, lr=2e-3, seed=0)
+        grid = TestStackedSerialEquivalence.GRID[:2] + [noisy]
+        results = trainer(model_name, split, config, variants=grid, model_kwargs=image_kwargs)
+        assert self._digest(results) == self.GOLDEN_SHA[model_name]
 
 
 class TestFullStateDict:
