@@ -9,6 +9,14 @@ stop being addressed.
 JSON keeps the store greppable and diffable; payloads are summary-sized
 dictionaries (not raw arrays), so compactness is not a concern.
 
+Read cost: every re-run, resumed sweep and serve dedupe is answered by
+:meth:`ResultCache.get`, so a hit is kept to one ``open``, one ``read``, one
+``json.loads`` and one record construction.  The key is hashed from the
+canonical JSON the :class:`~repro.engine.spec.RunSpec` built when it was
+validated (no second serialization of the spec), the entry is opened without
+a stat first (a missing file is the ``OSError`` of the open), and the
+caller's spec is reused for the record when it equals the stored one.
+
 Corruption policy: a stored file that no longer parses (torn write frozen to
 disk, bit rot, a concurrent writer killed mid-replace) is *quarantined* — moved
 to ``<root>/corrupt/`` with its original experiment prefix — the first time a
@@ -23,6 +31,7 @@ serve workers guarantee a completion report implies a durable on-disk result.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Iterator
 
@@ -58,7 +67,11 @@ class ResultCache:
         return spec_fingerprint(spec, self.version)
 
     def path_for(self, spec: RunSpec) -> Path:
-        return self.root / spec.experiment_id / f"{self.fingerprint(spec)}.json"
+        return Path(self._entry_path(spec))
+
+    def _entry_path(self, spec: RunSpec) -> str:
+        # A plain string: the read path skips building a Path per lookup.
+        return os.path.join(self.root, spec.experiment_id, self.fingerprint(spec) + ".json")
 
     # -------------------------------------------------------- quarantine
     @property
@@ -103,17 +116,20 @@ class ResultCache:
         recomputes and rewrites it); a transiently unreadable file is left in
         place and reported as a miss.
         """
-        path = self.path_for(spec)
-        if not path.is_file():
-            return None
+        # No stat first: a missing entry, a directory in its place or a
+        # transient read error is an OSError from open/read, a miss that
+        # leaves the path alone.
+        path = self._entry_path(spec)
         try:
-            record = RunRecord.from_dict(load_json(path))
-        except _CONTENT_ERRORS:
-            self._quarantine(path)
-            return None
+            with open(path, "rb") as handle:
+                document = handle.read()
         except OSError:
             return None
-        return record.as_cached()
+        try:
+            return RunRecord.from_dict(json.loads(document), cached=True, spec=spec)
+        except _CONTENT_ERRORS:
+            self._quarantine(Path(path))
+            return None
 
     def put(
         self,
@@ -212,7 +228,7 @@ class ResultCache:
             if path.parent.name == CORRUPT_DIR_NAME:
                 continue
             try:
-                yield RunRecord.from_dict(load_json(path)).as_cached()
+                yield RunRecord.from_dict(load_json(path), cached=True)
             except _CONTENT_ERRORS:
                 self._quarantine(path)
                 continue

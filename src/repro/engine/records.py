@@ -61,10 +61,6 @@ class RunRecord:
         """Canonical JSON bytes of the payload (for determinism checks)."""
         return canonical_json(dict(self.payload))
 
-    def as_cached(self) -> "RunRecord":
-        """A copy marked as served-from-cache."""
-        return replace(self, cached=True)
-
     def with_provenance(self, **extra: object) -> "RunRecord":
         """A copy with ``extra`` merged into the provenance mapping.
 
@@ -87,13 +83,28 @@ class RunRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "RunRecord":
-        spec_data = dict(data["spec"])  # type: ignore[arg-type]
-        spec = RunSpec(
-            experiment_id=str(spec_data["experiment_id"]),
-            params=dict(spec_data.get("params", {})),
-            seed=int(spec_data.get("seed", 0)),
-        )
+    def from_dict(
+        cls,
+        data: Mapping[str, object],
+        cached: bool = False,
+        spec: RunSpec | None = None,
+    ) -> "RunRecord":
+        """Rebuild a record from :meth:`to_dict` output.
+
+        ``cached`` marks the record as served from the cache.  ``spec`` is
+        the spec the caller looked the record up by: it is reused when
+        ``spec.canonical() == data["spec"]``, which spares re-validating an
+        identical spec; otherwise the spec is rebuilt from the stored data,
+        so a stored spec that differs is returned as stored.
+        """
+        spec_data = data["spec"]
+        if spec is None or spec.canonical() != spec_data:
+            spec_data = dict(spec_data)  # type: ignore[arg-type]
+            spec = RunSpec(
+                experiment_id=str(spec_data["experiment_id"]),
+                params=dict(spec_data.get("params", {})),
+                seed=int(spec_data.get("seed", 0)),
+            )
         return cls(
             fingerprint=str(data["fingerprint"]),
             spec=spec,
@@ -103,4 +114,5 @@ class RunRecord:
             duration_s=float(data.get("duration_s", 0.0)),
             started_at=str(data.get("started_at", "")),
             provenance=dict(data.get("provenance", {})),
+            cached=cached,
         )

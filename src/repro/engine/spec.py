@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -40,14 +41,21 @@ def canonical_json(payload: object) -> str:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One concrete experiment execution: id + parameter overrides + seed."""
+    """One concrete experiment execution: id + parameter overrides + seed.
+
+    ``params`` is copied at construction and must not be mutated afterwards:
+    the spec's canonical JSON is computed once, while validating, and reused
+    by :func:`spec_fingerprint`.
+    """
 
     experiment_id: str
     params: Mapping[str, object] = field(default_factory=dict)
     seed: int = 0
+    #: ``canonical_json(self.canonical())``, kept from validation.
+    _canonical_json: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.experiment_id:
+        if not isinstance(self.experiment_id, str) or not self.experiment_id:
             raise ValidationError("experiment_id must be a non-empty string")
         if "seed" in self.params:
             raise ValidationError(
@@ -56,11 +64,30 @@ class RunSpec:
             )
         object.__setattr__(self, "params", dict(self.params))
         try:
-            canonical_json(self.params)
+            params_json = canonical_json(self.params)
         except TypeError as exc:
             raise ValidationError(
                 f"RunSpec params must be JSON-serializable: {exc}"
             ) from exc
+        # NumPy integer seeds (``SweepSpec(seeds=np.arange(n))``) key the
+        # cache exactly like the equal plain int.
+        if isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, int):
+            object.__setattr__(self, "seed", int(self.seed))
+        try:
+            # The JSON of an int is its repr; skip building an encoder for it.
+            seed_json = (
+                repr(self.seed) if type(self.seed) is int else canonical_json(self.seed)
+            )
+        except TypeError as exc:
+            raise ValidationError(
+                f"RunSpec seed must be JSON-serializable: {exc}"
+            ) from exc
+        object.__setattr__(
+            self,
+            "_canonical_json",
+            f'{{"experiment_id":{json.dumps(self.experiment_id)},'
+            f'"params":{params_json},"seed":{seed_json}}}',
+        )
 
     def canonical(self) -> dict:
         """The JSON-stable identity of this run (used for fingerprints)."""
@@ -107,12 +134,17 @@ def spec_fingerprint(
     """
     if environment is None:
         environment = runtime_environment()
-    payload: dict[str, object] = {"spec": spec.canonical(), "version": version}
-    if environment:
-        payload["environment"] = dict(environment)
-    digest = hashlib.sha256()
-    digest.update(canonical_json(payload).encode())
-    return digest.hexdigest()
+    # canonical_json({"spec": spec.canonical(), "version": version[,
+    # "environment": environment]}) assembled from the spec's own canonical
+    # JSON: a compact sorted-key dump of a dict is the concatenation of the
+    # dumps of its values, keys in sorted order.
+    head = (
+        '{"environment":' + canonical_json(dict(environment)) + ","
+        if environment
+        else "{"
+    )
+    text = f'{head}"spec":{spec._canonical_json},"version":{json.dumps(version)}}}'
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from repro.engine import (
     run_all,
     spec_fingerprint,
 )
+from repro.engine import cache as cache_module
 from repro.engine.cli import main as cli_main
 from repro.engine.cli import parse_axis, parse_value
 from repro.utils.validation import ValidationError
@@ -46,6 +48,8 @@ class TestRunSpec:
             RunSpec("fig7_point", params={"seed": 3})
         with pytest.raises(ValidationError):
             RunSpec("fig7_point", params={"fn": object()})
+        with pytest.raises(ValidationError):
+            RunSpec(("fig7_point",))  # type: ignore[arg-type]
 
 
 class TestSweepSpec:
@@ -116,7 +120,46 @@ class TestResultCache:
         hit = cache.get(spec)
         assert hit is not None and hit.cached
         assert dict(hit.payload) == {"value": 42}
-        assert hit.spec == spec
+        assert hit.spec is spec  # an identical stored spec is not rebuilt
+        assert "cached" not in hit.to_dict()
+        assert "cached" not in json.loads(cache.path_for(spec).read_text())
+
+    def test_differing_stored_spec_is_returned_as_stored(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = RunSpec("ablation_tuning", params={"shifts_nm": [0.2]}, seed=1)
+        path = cache.put(self._record(spec, cache))
+        document = json.loads(path.read_text())
+        document["spec"]["params"] = {"shifts_nm": [0.5]}
+        path.write_text(json.dumps(document))
+        hit = cache.get(spec)
+        assert hit is not None and hit.cached
+        assert hit.spec == RunSpec("ablation_tuning", params={"shifts_nm": [0.5]}, seed=1)
+
+    def test_directory_at_entry_path_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = RunSpec("ablation_tuning")
+        cache.path_for(spec).mkdir(parents=True)
+        assert cache.get(spec) is None
+        assert cache.path_for(spec).is_dir()
+        assert cache.quarantined_count() == 0
+
+    def test_unreadable_entry_is_a_miss_left_in_place(self, tmp_path, monkeypatch):
+        # Monkeypatched rather than chmod-ed: root reads through mode 000.
+        cache = ResultCache(tmp_path)
+        spec = RunSpec("ablation_tuning")
+        path = cache.put(self._record(spec, cache))
+
+        def denied(file, *args, **kwargs):
+            if str(file) == str(path):
+                raise PermissionError(13, "Permission denied", str(file))
+            return builtins.open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "open", denied, raising=False)
+        assert cache.get(spec) is None
+        assert path.is_file()
+        assert cache.quarantined_count() == 0
+        monkeypatch.undo()
+        assert cache.get(spec) is not None
 
     def test_version_change_invalidates(self, tmp_path):
         spec = RunSpec("ablation_tuning")
@@ -143,6 +186,10 @@ class TestResultCache:
         path.parent.mkdir(parents=True)
         path.write_text("{not json")
         assert cache.get(spec) is None
+        assert not path.exists()
+        assert cache.quarantined_count() == 1
+        assert cache.get(spec) is None
+        assert cache.quarantined_count() == 1
 
     def test_refuses_to_cache_failures(self, tmp_path):
         cache = ResultCache(tmp_path)
