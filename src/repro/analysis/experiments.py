@@ -19,7 +19,6 @@ cache of trained workloads so a worker in a process pool trains each
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -898,32 +897,6 @@ def _params(**kwargs) -> Mapping[str, object]:
     return MappingProxyType(kwargs)
 
 
-def _backend_aware(runner: Callable[..., dict]) -> Callable[..., dict]:
-    """Wrap an NN-heavy runner with the ``nn_backend``/``nn_threads`` params.
-
-    The wrapped runner accepts two extra keyword parameters selecting the
-    compute backend (:mod:`repro.nn.backend`) its kernels dispatch to:
-    ``nn_backend=""`` / ``nn_threads=0`` inherit the ambient selection
-    (``REPRO_NN_BACKEND`` / ``REPRO_NN_THREADS`` or the ``reference``
-    default).  Because these ride in ``default_params``, resolved sweep
-    points carry them in the spec — and therefore in the run fingerprint —
-    so cached results are never served across backends.
-    """
-
-    @functools.wraps(runner)
-    def wrapped(*args, nn_backend: str = "", nn_threads: int = 0, **kwargs) -> dict:
-        from repro.nn.backend import use_backend
-
-        with use_backend(str(nn_backend) or None, int(nn_threads) or None):
-            return runner(*args, **kwargs)
-
-    return wrapped
-
-
-#: Extra default params added to every backend-aware experiment descriptor.
-_NN_BACKEND_DEFAULTS = {"nn_backend": "", "nn_threads": 0}
-
-
 EXPERIMENTS: dict[str, ExperimentDescriptor] = {
     "table1": ExperimentDescriptor(
         experiment_id="table1",
@@ -953,7 +926,7 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="Fig. 7(a)-(c)",
         modules=("repro.analysis.susceptibility", "repro.attacks", "repro.accelerator"),
         bench_target="benchmarks/bench_fig7_susceptibility.py",
-        runner=_backend_aware(_run_fig7),
+        runner=_run_fig7,
         default_params=_params(
             model_names=("cnn_mnist",),
             kinds=("actuation", "hotspot"),
@@ -962,7 +935,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             num_placements=2,
             kind_params=None,
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
         attack_kind_params=("kinds",),
     ),
@@ -972,7 +944,7 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="Fig. 7(a)-(c)",
         modules=("repro.analysis.susceptibility", "repro.attacks", "repro.engine"),
         bench_target="benchmarks/bench_fig7_susceptibility.py",
-        runner=_backend_aware(_run_fig7_point),
+        runner=_run_fig7_point,
         default_params=_params(
             model="cnn_mnist",
             kind="hotspot",
@@ -982,7 +954,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             quantize_weights=True,
             kind_params=None,
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
         attack_kind_params=("kind",),
     ),
@@ -996,7 +967,7 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             "repro.nn.ensemble",
         ),
         bench_target="benchmarks/bench_scenario_batch.py",
-        runner=_backend_aware(_run_fig7_grid),
+        runner=_run_fig7_grid,
         default_params=_params(
             model="cnn_mnist",
             kinds=("actuation", "hotspot"),
@@ -1008,7 +979,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             quantize_weights=True,
             kind_params=None,
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
         attack_kind_params=("kinds",),
     ),
@@ -1018,7 +988,7 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="Fig. 7 methodology, searched",
         modules=("repro.attacks.search", "repro.accelerator.inference", "repro.engine"),
         bench_target="benchmarks/bench_attack_search.py",
-        runner=_backend_aware(_run_fig7_candidate),
+        runner=_run_fig7_candidate,
         default_params=_params(
             model="cnn_mnist",
             variant="",
@@ -1030,7 +1000,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             quantize_weights=True,
             checkpoint_cache=False,
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
         attack_kind_params=("kind",),
     ),
@@ -1040,7 +1009,7 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="beyond the paper's fixed grids (ROADMAP item 3)",
         modules=("repro.attacks.search", "repro.analysis", "repro.engine"),
         bench_target="benchmarks/bench_attack_search.py",
-        runner=_backend_aware(_run_fig7_adversarial),
+        runner=_run_fig7_adversarial,
         default_params=_params(
             model="cnn_mnist",
             variant="",
@@ -1059,7 +1028,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             checkpoint_cache=False,
             candidate_cache="",
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
         attack_kind_params=("kind",),
     ),
@@ -1069,13 +1037,12 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="Fig. 8(a)-(c)",
         modules=("repro.analysis.mitigation_analysis", "repro.mitigation"),
         bench_target="benchmarks/bench_fig8_variants.py",
-        runner=_backend_aware(_run_fig8),
+        runner=_run_fig8,
         default_params=_params(
             model_names=("cnn_mnist",),
             stacked_training=True,
             checkpoint_cache=False,
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
     ),
     "fig8_variant": ExperimentDescriptor(
@@ -1084,7 +1051,7 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="Fig. 8(a)-(c)",
         modules=("repro.analysis.mitigation_analysis", "repro.mitigation", "repro.engine"),
         bench_target="benchmarks/bench_fig8_variants.py",
-        runner=_backend_aware(_run_fig8_variant),
+        runner=_run_fig8_variant,
         default_params=_params(
             model="cnn_mnist",
             variant="l2+n3",
@@ -1095,7 +1062,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             kind_params=None,
             checkpoint_cache=False,
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
         attack_kind_params=("kinds",),
     ),
@@ -1121,13 +1087,12 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="Fig. 9(a)-(c)",
         modules=("repro.analysis.mitigation_analysis", "repro.mitigation.selection"),
         bench_target="benchmarks/bench_fig9_robust_vs_original.py",
-        runner=_backend_aware(_run_fig9),
+        runner=_run_fig9,
         default_params=_params(
             model_names=("cnn_mnist",),
             stacked_training=True,
             checkpoint_cache=False,
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
     ),
     "ablation_mitigation": ExperimentDescriptor(
@@ -1136,11 +1101,10 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="§V discussion",
         modules=("repro.mitigation",),
         bench_target="benchmarks/bench_ablation_mitigation.py",
-        runner=_backend_aware(_run_ablation_mitigation),
+        runner=_run_ablation_mitigation,
         default_params=_params(
             variants=("Original", "L2_reg", "noise_n3", "l2+n3"),
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
     ),
     "ablation_tuning": ExperimentDescriptor(

@@ -31,7 +31,6 @@ from repro.mitigation.robust_training import (
     variant_checkpoint_key,
 )
 from repro.mitigation.selection import RobustnessScore, select_most_robust
-from repro.nn.backend import use_backend
 from repro.nn.models.registry import MODEL_DATASETS
 from repro.nn.training import TrainingConfig
 from repro.utils.validation import check_positive_int
@@ -102,11 +101,6 @@ class MitigationAnalysisConfig:
     checkpoint_dir:
         Checkpoint store location (``None``: ``REPRO_CHECKPOINT_DIR`` or
         ``.repro-cache/checkpoints``).
-    backend, nn_threads:
-        Compute backend (:mod:`repro.nn.backend`) the study's variant
-        training and attacked-inference kernels dispatch to, and its thread
-        count.  The empty defaults inherit the ambient selection
-        (``REPRO_NN_BACKEND`` / ``REPRO_NN_THREADS`` or ``reference``).
     """
 
     model_names: Sequence[str] = ("cnn_mnist", "resnet18", "vgg16_variant")
@@ -126,8 +120,6 @@ class MitigationAnalysisConfig:
     stacked_training: bool = True
     checkpoint_cache: bool = False
     checkpoint_dir: str | None = None
-    backend: str = ""
-    nn_threads: int = 0
 
     def __post_init__(self) -> None:
         check_positive_int(self.num_placements, "num_placements")
@@ -228,12 +220,6 @@ class MitigationStudy:
         #: Per-model accounting of the most recent ``train_variants`` calls.
         self.last_training_stats: dict[str, dict] = {}
 
-    def _backend_context(self):
-        """Context applying the config's compute-backend selection."""
-        return use_backend(
-            self.config.backend or None, int(self.config.nn_threads) or None
-        )
-
     # ---------------------------------------------------------------- setup
     def prepare_split(self, model_name: str) -> DatasetSplit:
         """Synthesize and split the dataset for a workload."""
@@ -281,10 +267,6 @@ class MitigationStudy:
         checkpoints are stored back.  Accounting lands in
         ``self.last_training_stats[model_name]``.
         """
-        with self._backend_context():
-            return self._train_variants(model_name, split)
-
-    def _train_variants(self, model_name: str, split: DatasetSplit) -> list[VariantResult]:
         defaults = _WORKLOAD_DEFAULTS[model_name]
         base_config = TrainingConfig(seed=self.config.seed, **dict(defaults["training"]))
         model_kwargs = dict(defaults["model_kwargs"])
@@ -348,10 +330,6 @@ class MitigationStudy:
     # ------------------------------------------------------------------ run
     def run(self) -> MitigationStudyResult:
         """Run the full mitigation study for every configured workload."""
-        with self._backend_context():
-            return self._run()
-
-    def _run(self) -> MitigationStudyResult:
         result = MitigationStudyResult(config=self.config)
         scenarios = generate_scenarios(
             kinds=self.config.kinds,
@@ -375,7 +353,7 @@ class MitigationStudy:
         ]
         for model_name in self.config.model_names:
             split = self.prepare_split(model_name)
-            variants = self._train_variants(model_name, split)
+            variants = self.train_variants(model_name, split)
             result.training_stats[model_name] = dict(
                 self.last_training_stats.get(model_name, {})
             )

@@ -26,7 +26,6 @@ from repro.attacks.scenario import (
 )
 from repro.datasets.base import DatasetSplit, train_test_split
 from repro.datasets.registry import load_dataset
-from repro.nn.backend import use_backend
 from repro.nn.models.registry import MODEL_DATASETS, build_model
 from repro.nn.module import Module
 from repro.nn.training import Trainer, TrainingConfig
@@ -91,11 +90,6 @@ class SusceptibilityConfig:
         Per-kind physical parameters (kind name → params dataclass or
         mapping of overrides) for non-default grid kinds, forwarded to
         :func:`~repro.attacks.scenario.sample_outcome`.
-    backend, nn_threads:
-        Compute backend (:mod:`repro.nn.backend`) the study's training and
-        attacked-inference kernels dispatch to, and its thread count.  The
-        empty defaults inherit the ambient selection (``REPRO_NN_BACKEND`` /
-        ``REPRO_NN_THREADS`` or ``reference``).
     """
 
     model_names: Sequence[str] = ("cnn_mnist", "resnet18", "vgg16_variant")
@@ -111,8 +105,6 @@ class SusceptibilityConfig:
     test_fraction: float = 0.25
     scenario_batch: bool = True
     scenario_chunk: int | None = None
-    backend: str = ""
-    nn_threads: int = 0
 
     def __post_init__(self) -> None:
         check_positive_int(self.num_placements, "num_placements")
@@ -193,19 +185,9 @@ class SusceptibilityStudy:
     def __init__(self, config: SusceptibilityConfig | None = None):
         self.config = config or SusceptibilityConfig()
 
-    def _backend_context(self):
-        """Context applying the config's compute-backend selection."""
-        return use_backend(
-            self.config.backend or None, int(self.config.nn_threads) or None
-        )
-
     # ------------------------------------------------------------ workloads
     def prepare_workload(self, model_name: str) -> tuple[Module, DatasetSplit]:
         """Synthesize the dataset and train the baseline model for a workload."""
-        with self._backend_context():
-            return self._prepare_workload(model_name)
-
-    def _prepare_workload(self, model_name: str) -> tuple[Module, DatasetSplit]:
         defaults = _WORKLOAD_DEFAULTS[model_name]
         dataset = load_dataset(
             MODEL_DATASETS[model_name],
@@ -228,10 +210,6 @@ class SusceptibilityStudy:
         ``prepared`` may supply already-trained ``(model, split)`` pairs per
         workload (used by the mitigation study to avoid re-training).
         """
-        with self._backend_context():
-            return self._run(prepared)
-
-    def _run(self, prepared: dict[str, tuple[Module, DatasetSplit]] | None) -> SusceptibilityResult:
         result = SusceptibilityResult(config=self.config)
         scenarios = generate_scenarios(
             kinds=self.config.kinds,
@@ -244,7 +222,7 @@ class SusceptibilityStudy:
             if prepared and model_name in prepared:
                 model, split = prepared[model_name]
             else:
-                model, split = self._prepare_workload(model_name)
+                model, split = self.prepare_workload(model_name)
             engine = AttackedInferenceEngine(
                 model,
                 config=self.config.accelerator,

@@ -153,22 +153,13 @@ def execute_run(
     a segfaulting or stuck native call.
     """
     from repro.analysis.experiments import get_experiment
-    from repro.nn.backend import backend_provenance, use_backend
-
-    # Per-run compute-backend selection: experiments that accept the
-    # ``nn_backend``/``nn_threads`` params carry them in the (resolved) spec,
-    # so they are part of the fingerprint; empty values inherit the ambient
-    # (env-driven) selection.
-    nn_backend = str(spec.params.get("nn_backend") or "") or None
-    nn_threads = int(spec.params.get("nn_threads") or 0) or None
     started_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     start = perf_counter()
     try:
         fault_point("worker.run", key=spec.label())
         descriptor = get_experiment(spec.experiment_id)
         seed = spec.seed if descriptor.seedable else None
-        with use_backend(nn_backend, nn_threads):
-            payload = descriptor.run(spec.params, seed=seed)
+        payload = descriptor.run(spec.params, seed=seed)
         status, error = "ok", None
     except Exception as exc:  # noqa: BLE001 — sweep survives bad points
         payload, status, error = {}, "error", f"{type(exc).__name__}: {exc}"
@@ -184,7 +175,6 @@ def execute_run(
             "version": version,
             "executor": executor_kind,
             "pid": os.getpid(),
-            **backend_provenance(nn_backend, nn_threads),
         },
     )
 

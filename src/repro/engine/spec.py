@@ -26,7 +26,6 @@ __all__ = [
     "SweepSpec",
     "canonical_json",
     "spec_fingerprint",
-    "runtime_environment",
 ]
 
 
@@ -106,44 +105,17 @@ class RunSpec:
         )
 
 
-def runtime_environment() -> dict[str, object]:
-    """Process-level compute-backend state that must key the result cache.
-
-    Delegates to :func:`repro.nn.backend.cache_environment`: empty under the
-    default configuration (so historical fingerprints stay valid), and
-    carrying the backend name / thread count whenever ``REPRO_NN_BACKEND`` or
-    ``REPRO_NN_THREADS`` select a non-default configuration — cached results
-    are never silently served across compute backends.
-    """
-    from repro.nn.backend import cache_environment
-
-    return cache_environment()
-
-
-def spec_fingerprint(
-    spec: RunSpec, version: str, environment: Mapping[str, object] | None = None
-) -> str:
+def spec_fingerprint(spec: RunSpec, version: str) -> str:
     """Content-addressed identity of a run under a library version.
 
-    The hash covers the resolved spec, the ``repro`` version and the
-    non-default runtime environment (compute backend selection), so cached
-    results are automatically invalidated when the library — or the numeric
-    backend producing them — changes.  ``environment=None`` reads the ambient
-    :func:`runtime_environment`; pass an explicit mapping (possibly empty) to
-    pin it.
+    The hash covers the resolved spec and the ``repro`` version, so cached
+    results are automatically invalidated when the library changes.
     """
-    if environment is None:
-        environment = runtime_environment()
-    # canonical_json({"spec": spec.canonical(), "version": version[,
-    # "environment": environment]}) assembled from the spec's own canonical
-    # JSON: a compact sorted-key dump of a dict is the concatenation of the
-    # dumps of its values, keys in sorted order.
-    head = (
-        '{"environment":' + canonical_json(dict(environment)) + ","
-        if environment
-        else "{"
-    )
-    text = f'{head}"spec":{spec._canonical_json},"version":{json.dumps(version)}}}'
+    # canonical_json({"spec": spec.canonical(), "version": version})
+    # assembled from the spec's own canonical JSON: a compact sorted-key dump
+    # of a dict is the concatenation of the dumps of its values, keys in
+    # sorted order.
+    text = f'{{"spec":{spec._canonical_json},"version":{json.dumps(version)}}}'
     return hashlib.sha256(text.encode()).hexdigest()
 
 

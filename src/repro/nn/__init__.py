@@ -50,17 +50,6 @@ from repro.nn.training import (
     evaluate_accuracy,
 )
 from repro.nn.ensemble import num_scenarios, stack_state_dicts, stacked_state
-from repro.nn.backend import (
-    ComputeBackend,
-    FastBackend,
-    ReferenceBackend,
-    active_backend,
-    get_backend,
-    register_backend,
-    registered_backends,
-    use_backend,
-)
-from repro.nn import backend
 from repro.nn import functional
 from repro.nn import models
 
@@ -97,15 +86,6 @@ __all__ = [
     "stacked_state",
     "stack_state_dicts",
     "num_scenarios",
-    "ComputeBackend",
-    "ReferenceBackend",
-    "FastBackend",
-    "register_backend",
-    "get_backend",
-    "registered_backends",
-    "active_backend",
-    "use_backend",
-    "backend",
     "functional",
     "models",
 ]

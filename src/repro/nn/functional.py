@@ -40,7 +40,6 @@ def im2col(
     kernel_w: int,
     stride: int,
     padding: int,
-    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Unfold ``x`` (NCHW) into a matrix of sliding patches.
 
@@ -50,8 +49,7 @@ def im2col(
     The patches are written in one pass directly in the final
     ``(N, out_h, out_w, C, kernel_h, kernel_w)`` layout from an NHWC copy of
     the padded input, block by block over the batch so each block's strided
-    writes stay in cache.  ``out`` optionally supplies that 6-D C-contiguous
-    destination (a reused workspace).
+    writes stay in cache.
     """
     batch, channels, height, width = x.shape
     out_h = conv_output_size(height, kernel_h, stride, padding)
@@ -62,11 +60,7 @@ def im2col(
     padded[:, padding : padding + height, padding : padding + width, :] = x.transpose(
         0, 2, 3, 1
     )
-    shape = (batch, out_h, out_w, channels, kernel_h, kernel_w)
-    if out is None:
-        out = np.empty(shape, dtype=x.dtype)
-    elif out.shape != shape or not out.flags.c_contiguous:
-        raise ValueError(f"im2col out must be C-contiguous with shape {shape}")
+    out = np.empty((batch, out_h, out_w, channels, kernel_h, kernel_w), dtype=x.dtype)
     per_sample = out_h * out_w * channels * kernel_h * kernel_w * x.itemsize
     step = max(1, _IM2COL_BLOCK_BYTES // max(per_sample, 1))
     for start in range(0, batch, step):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import init
-from repro.nn.backend import active_backend
 from repro.nn.module import Module
 from repro.nn.tensor import Parameter
 from repro.utils.rng import default_rng
@@ -61,7 +60,7 @@ class Linear(Module):
                 f"Linear expects input of shape (N, {self.in_features}), got {x.shape}"
             )
         self._cached_input = x
-        out = active_backend().matmul(x, self.weight.data.T)
+        out = x @ self.weight.data.T
         if self.bias is not None:
             out = out + self.bias.data
         return out
@@ -88,7 +87,7 @@ class Linear(Module):
         if x.ndim == 2:
             x = np.broadcast_to(x[None], (stacked.shape[0],) + x.shape)
         self._cached_input = x
-        out = active_backend().stacked_matmul(x, stacked.transpose(0, 2, 1))
+        out = np.matmul(x, stacked.transpose(0, 2, 1))
         if self.bias is not None:
             out = out + self.bias.stacked[:, None, :]
         return out
@@ -108,13 +107,12 @@ class Linear(Module):
                 f"(S, N, {self.in_features}), got {x.shape}"
             )
         self._cached_input = None  # ensemble forwards are inference-only
-        backend = active_backend()
         stacked = self.weight.stacked
         if stacked is None:
-            out = backend.matmul(x, self.weight.data.T)
+            out = x @ self.weight.data.T
         else:
             lhs = x[None] if x.ndim == 2 else x
-            out = backend.stacked_matmul(lhs, stacked.transpose(0, 2, 1))
+            out = np.matmul(lhs, stacked.transpose(0, 2, 1))
         if self.bias is not None:
             if self.bias.stacked is not None:
                 out = out + self.bias.stacked[:, None, :]
@@ -126,21 +124,20 @@ class Linear(Module):
         if self._cached_input is None:
             raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float32)
-        backend = active_backend()
         if self._cached_input.ndim == 3:
             # Variant-stacked backward: one gradient slab per variant.
-            self.weight.stacked_grad += backend.stacked_matmul(
+            self.weight.stacked_grad += np.matmul(
                 grad_output.transpose(0, 2, 1), self._cached_input
             )
             if self.bias is not None:
                 self.bias.stacked_grad += grad_output.sum(axis=1)
             if self._shared_stacked_input:
                 return None  # nothing trainable sits upstream of a shared input
-            return backend.stacked_matmul(grad_output, self.weight.stacked)
-        self.weight.grad += backend.matmul(grad_output.T, self._cached_input)
+            return np.matmul(grad_output, self.weight.stacked)
+        self.weight.grad += grad_output.T @ self._cached_input
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=0)
-        return backend.matmul(grad_output, self.weight.data)
+        return grad_output @ self.weight.data
 
     def __repr__(self) -> str:
         return (

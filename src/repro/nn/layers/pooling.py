@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.backend import active_backend
+import repro.nn.functional as F
 from repro.nn.ensemble import fold_scenarios, unfold_scenarios
 from repro.nn.module import Module
 from repro.utils.validation import check_positive_int
@@ -26,7 +26,7 @@ class MaxPool2D(Module):
     The ubiquitous non-overlapping, unpadded geometry (``stride == kernel``,
     spatial size divisible by the kernel) runs one window-max kernel for
     every input rank and mode: the ``k*k`` strided window-element views
-    combined with elementwise maxima (:meth:`ComputeBackend.window_max`).
+    combined with elementwise maxima (:func:`repro.nn.functional.window_max`).
     Training additionally keeps ``k*k`` first-match winner masks for the
     backward.  Ties keep the earliest ``(ky, kx)`` in row-major order, the
     flat ``argmax`` winner of the im2col path, so values (signed zeros
@@ -59,7 +59,7 @@ class MaxPool2D(Module):
         if self._is_window_geometry(x):
             if self.training:
                 return self._forward_windows_train(x)
-            return active_backend().window_max(x, self.kernel_size)
+            return F.window_max(x, self.kernel_size)
         if x.ndim == 5:
             # Stacked (variant or scenario) input: fold the leading axis into
             # the batch axis so the im2col path and its backward apply
@@ -77,11 +77,7 @@ class MaxPool2D(Module):
         k = self.kernel_size
         # Treat each channel independently so the window matrix is (N*C, ...)
         reshaped = x.reshape(batch * channels, 1, *x.shape[2:])
-        # Only the argmax and shapes are cached, so the patch matrix is
-        # transient and backends may reuse a keyed workspace.
-        cols, out_h, out_w = active_backend().im2col(
-            reshaped, k, k, self.stride, self.padding, transient=True
-        )
+        cols, out_h, out_w = F.im2col(reshaped, k, k, self.stride, self.padding)
         argmax = np.argmax(cols, axis=1)
         out = cols[np.arange(cols.shape[0]), argmax]
         out = out.reshape(batch, channels, out_h, out_w)
@@ -111,7 +107,7 @@ class MaxPool2D(Module):
         element ``i``; the masks partition the output, so the backward
         routes every gradient to exactly one input element.
         """
-        out = active_backend().window_max(x, self.kernel_size)
+        out = F.window_max(x, self.kernel_size)
         masks = []
         claimed = np.zeros(out.shape, dtype=bool)
         for piece in self._window_slices(x):
@@ -141,9 +137,7 @@ class MaxPool2D(Module):
         grad_flat = grad_output.reshape(-1)
         grad_cols[np.arange(cols_shape[0]), argmax] = grad_flat
         k = self.kernel_size
-        grad_reshaped = active_backend().col2im(
-            grad_cols, reshaped_shape, k, k, self.stride, self.padding
-        )
+        grad_reshaped = F.col2im(grad_cols, reshaped_shape, k, k, self.stride, self.padding)
         return grad_reshaped.reshape(input_shape)
 
     def _backward_windows(self, grad_output: np.ndarray) -> np.ndarray:
@@ -187,10 +181,8 @@ class AvgPool2D(Module):
         batch, channels, _, _ = x.shape
         k = self.kernel_size
         reshaped = x.reshape(batch * channels, 1, *x.shape[2:])
-        # Only shapes are cached for backward: the patch matrix is transient.
-        cols, out_h, out_w = active_backend().im2col(
-            reshaped, k, k, self.stride, self.padding, transient=True
-        )
+        # Only shapes are cached for backward, not the patch matrix.
+        cols, out_h, out_w = F.im2col(reshaped, k, k, self.stride, self.padding)
         out = cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
         self._cache = (cols.shape, reshaped.shape, x.shape)
         return out
@@ -209,9 +201,7 @@ class AvgPool2D(Module):
         window = cols_shape[1]
         grad_cols = np.repeat(grad_output.reshape(-1, 1) / window, window, axis=1)
         k = self.kernel_size
-        grad_reshaped = active_backend().col2im(
-            grad_cols, reshaped_shape, k, k, self.stride, self.padding
-        )
+        grad_reshaped = F.col2im(grad_cols, reshaped_shape, k, k, self.stride, self.padding)
         return grad_reshaped.reshape(input_shape)
 
     def __repr__(self) -> str:

@@ -1,7 +1,7 @@
 """Cache-key stability: result-cache fingerprints across versions of the code.
 
 The fingerprint literals below were produced by the original
-``sha256(canonical_json({"spec": ..., "version": ...[, "environment": ...]}))``
+``sha256(canonical_json({"spec": ..., "version": ...}))``
 implementation; existing ``.repro-cache`` directories stay valid only while
 they keep matching.
 """
@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine import Campaign, ResultCache, RunSpec, SweepSpec
 from repro.engine.spec import canonical_json, spec_fingerprint
-from repro.nn.backend import BACKEND_ENV_VAR, THREADS_ENV_VAR
 from repro.utils.validation import ValidationError
 
 GOLDEN_FINGERPRINTS = [
@@ -31,7 +30,6 @@ GOLDEN_FINGERPRINTS = [
             seed=7,
         ),
         "1.6.0",
-        {},
         "fbad5765f706f87a1c3e42c66d39019106236e4a4de66e06c7de25d3faaa8419",
     ),
     (
@@ -47,49 +45,27 @@ GOLDEN_FINGERPRINTS = [
             seed=1,
         ),
         "1.6.0",
-        {},
         "32404a47f177f2e3d84de2c82cafbca0925eadffb33de3fd84fee1bde90708e8",
     ),
     (
         RunSpec("fig8_variant", {"variant": "l2+n3", "label": "Ωμέγα-ü ☃", "empty": ""}),
         "1.6.0",
-        {},
         "7689db2ae935e937b06b4dcb6e1eaa2203efd2d7315a1cff62ee8f6abc80fd45",
     ),
     (
         RunSpec("signal_mc"),
         "1.6.0",
-        {},
         "b49f3d94d01fc8c501ddb085f52244d22df32e1a124fe80e99b24f4633097304",
     ),
     (
         RunSpec("ablation_tuning", {"on": True, "off": False, "missing": None}, seed=123456789),
         "0.0.1",
-        {},
         "fbd006b46b23afff35b02e1c821f376ff05cc4bed6546fff39da8c9772a23470",
-    ),
-    (
-        RunSpec("signal_mc", {"size": 8}, seed=3),
-        "1.6.0",
-        {"nn_backend": "fast", "nn_threads": 2},
-        "31deebfc540bc5af5b73f279f1399487f7c3cd2471faa22cc70249c7adc7dd1a",
-    ),
-    (  # the same environment given in unsorted order
-        RunSpec("signal_mc", {"size": 8}, seed=3),
-        "1.6.0",
-        {"nn_threads": 2, "nn_backend": "fast"},
-        "31deebfc540bc5af5b73f279f1399487f7c3cd2471faa22cc70249c7adc7dd1a",
-    ),
-    (
-        RunSpec("signal_mc", {"size": 8}, seed=3),
-        "1.6.0",
-        {"nn_threads": 4},
-        "41ff2aa9bf7ac554d8a134505ee7ebc625ab738f40a01f17fff5613705f7ce97",
     ),
 ]
 
 #: An entry exactly as the original ``ResultCache.put`` wrote it, under the
-#: file name it chose (cache version 1.6.0, default environment).
+#: file name it chose (cache version 1.6.0).
 LEGACY_ENTRY_NAME = (
     "signal_mc/9bace27dfa097fc785957904c157e91ed96f4a24586d022a85c7809a109966e0.json"
 )
@@ -122,18 +98,10 @@ LEGACY_ENTRY = """{
 }"""
 
 
-def reference_fingerprint(spec: RunSpec, version: str, environment: dict) -> str:
+def reference_fingerprint(spec: RunSpec, version: str) -> str:
     """The original fingerprint formula, spelled out."""
-    payload: dict[str, object] = {"spec": spec.canonical(), "version": version}
-    if environment:
-        payload["environment"] = dict(environment)
+    payload = {"spec": spec.canonical(), "version": version}
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-
-
-@pytest.fixture
-def default_environment(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
 
 
 _json_scalars = (
@@ -152,12 +120,8 @@ _json_values = st.recursive(
 
 
 class TestFingerprintStability:
-    @pytest.mark.parametrize("spec, version, environment, expected", GOLDEN_FINGERPRINTS)
-    def test_golden_fingerprints(self, spec, version, environment, expected):
-        assert spec_fingerprint(spec, version, environment) == expected
-
-    def test_empty_environment_matches_ambient_default(self, default_environment):
-        spec, version, _, expected = GOLDEN_FINGERPRINTS[0]
+    @pytest.mark.parametrize("spec, version, expected", GOLDEN_FINGERPRINTS)
+    def test_golden_fingerprints(self, spec, version, expected):
         assert spec_fingerprint(spec, version) == expected
 
     @settings(max_examples=150, deadline=None)
@@ -168,19 +132,12 @@ class TestFingerprintStability:
         ),
         seed=st.integers(min_value=-(2**40), max_value=2**40) | st.booleans(),
         version=st.text(max_size=8),
-        environment=st.dictionaries(
-            st.sampled_from(["nn_backend", "nn_threads", "extra"]),
-            st.integers(min_value=1, max_value=64) | st.text(max_size=6),
-            max_size=3,
-        ),
     )
-    def test_matches_reference_formula(self, experiment_id, params, seed, version, environment):
+    def test_matches_reference_formula(self, experiment_id, params, seed, version):
         spec = RunSpec(experiment_id, params, seed=seed)
-        assert spec_fingerprint(spec, version, environment) == reference_fingerprint(
-            spec, version, environment
-        )
+        assert spec_fingerprint(spec, version) == reference_fingerprint(spec, version)
 
-    def test_entry_written_by_original_layout_is_a_hit(self, tmp_path, default_environment):
+    def test_entry_written_by_original_layout_is_a_hit(self, tmp_path):
         path = tmp_path / LEGACY_ENTRY_NAME
         path.parent.mkdir(parents=True)
         path.write_text(LEGACY_ENTRY)
@@ -199,7 +156,7 @@ class TestNumpySeeds:
         plain = RunSpec("signal_mc", {"size": 8}, seed=3)
         assert type(spec.seed) is int
         assert spec == plain
-        assert spec_fingerprint(spec, "1.6.0", {}) == spec_fingerprint(plain, "1.6.0", {})
+        assert spec_fingerprint(spec, "1.6.0") == spec_fingerprint(plain, "1.6.0")
 
     @pytest.mark.parametrize("seed", [object(), 1j, {1, 2}])
     def test_unserializable_seed_is_a_validation_error(self, seed):

@@ -369,3 +369,17 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert "fig7_point" in proc.stdout
+
+    def test_cli_run_unknown_param_prints_an_error_line(self, tmp_path):
+        """``repro run --set <unknown>=...`` fails like ``repro sweep`` does."""
+        repo_src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = f"{repo_src}{os.pathsep}{env.get('PYTHONPATH', '')}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "ablation_tuning",
+             "--set", "bogus_param=1", "--cache-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: unknown parameter(s) ['bogus_param']")

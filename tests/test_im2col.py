@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.nn.backend import get_backend
 from repro.nn.functional import col2im, conv_output_size, im2col
 
 
@@ -111,20 +110,6 @@ class TestOnePassIm2col:
         assert np.array_equal(
             folded.view(np.uint32), col2im_nchw_scatter(cols, x.shape, 3, 3, 1, 1).view(np.uint32)
         )
-
-    def test_workspace_out_is_filled_in_place(self):
-        x = np.random.default_rng(4).normal(size=(3, 2, 6, 5)).astype(np.float32)
-        out = np.full((3, 4, 3, 2, 3, 3), np.nan, dtype=np.float32)
-        cols, _, _ = im2col(x, 3, 3, 1, 0, out=out)
-        assert np.shares_memory(cols, out)
-        assert np.array_equal(cols, im2col_fill_transpose(x, 3, 3, 1, 0)[0])
-        with pytest.raises(ValueError):
-            im2col(x, 3, 3, 1, 0, out=np.empty((3, 4, 3, 2, 9), dtype=np.float32))
-
-    def test_fast_backend_transient_unfold_matches(self):
-        x = np.random.default_rng(5).normal(size=(4, 3, 7, 7)).astype(np.float32)
-        fast, _, _ = get_backend("fast").im2col(x, 3, 2, 2, 1, transient=True)
-        assert np.array_equal(fast, im2col_fill_transpose(x, 3, 2, 2, 1)[0])
 
 
 class TestChannelsLastCol2im:

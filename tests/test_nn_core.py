@@ -107,6 +107,27 @@ class TestFunctional:
         )
 
 
+class TestFunctionalSatellites:
+    def test_sigmoid_preserves_float_dtype(self):
+        x = np.linspace(-30, 30, 61).astype(np.float32)
+        out = F.sigmoid(x)
+        assert out.dtype == np.float32
+        expected = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+        np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-6)
+        assert F.sigmoid(np.array([0, 1, 2])).dtype == np.float64
+
+    def test_smoothed_targets_use_canonical_one_hot(self):
+        from repro.nn.losses import _smoothed_targets
+
+        labels = np.array([0, 2, 1])
+        np.testing.assert_array_equal(
+            _smoothed_targets((3, 3), labels, 0.0), F.one_hot(labels, 3)
+        )
+        smoothed = _smoothed_targets((3, 4), labels, 0.1)
+        np.testing.assert_allclose(smoothed.sum(axis=1), 1.0, rtol=1e-6)
+        assert smoothed.min() > 0
+
+
 class TestInit:
     @pytest.mark.parametrize("fn", [he_normal, he_uniform, xavier_normal, xavier_uniform])
     def test_shapes_and_determinism(self, fn):

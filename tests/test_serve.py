@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.experiments import get_experiment
 from repro.engine import Campaign, ResultCache, RunSpec, make_executor
 from repro.engine.cli import main as cli_main
 from repro.engine.spec import SweepSpec
@@ -56,6 +57,15 @@ def slow_sweep(seeds: int = 10) -> dict:
         "base": {"trials": 8000},
         "seeds": list(range(seeds)),
     }
+
+
+#: The experiments that used to take per-run compute-backend params; both
+#: names (``nn_`` + knob) are now unknown parameters like any other typo.
+FORMER_BACKEND_EXPERIMENTS = (
+    "fig7", "fig7_point", "fig7_grid", "fig7_candidate", "fig7_adversarial",
+    "fig8", "fig8_variant", "fig9", "ablation_mitigation",
+)
+REMOVED_BACKEND_PARAMS = {"nn_" + "backend": "fast", "nn_" + "threads": 2}
 
 
 def _subprocess_env() -> dict:
@@ -268,6 +278,17 @@ class TestServeAPI:
             with pytest.raises(ServeError) as err:
                 client.submit(payload)
             assert err.value.status == 400
+
+    @pytest.mark.parametrize("experiment_id", FORMER_BACKEND_EXPERIMENTS)
+    def test_removed_backend_params_are_unknown(self, daemon, experiment_id):
+        descriptor = get_experiment(experiment_id)
+        for name, value in REMOVED_BACKEND_PARAMS.items():
+            with pytest.raises(KeyError, match="unknown parameter"):
+                descriptor.resolve_params({name: value})
+        sweep = {"experiment_id": experiment_id, "base": REMOVED_BACKEND_PARAMS}
+        with pytest.raises(ServeError) as err:
+            ServeClient(daemon.url).submit(sweep)
+        assert err.value.status == 400
 
     def test_events_endpoint_plain_text(self, daemon):
         client = ServeClient(daemon.url)
