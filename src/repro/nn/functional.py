@@ -11,7 +11,6 @@ __all__ = [
     "window_max",
     "softmax",
     "log_softmax",
-    "relu",
     "sigmoid",
     "one_hot",
 ]
@@ -129,7 +128,10 @@ def window_max(x: np.ndarray, kernel: int) -> np.ndarray:
     it on ties, so the earliest ``(ky, kx)`` wins exactly as in a flat
     ``argmax`` over the window.  That keeps signed zeros (``-0.0`` from
     ``x * mask``) bit-identical to the im2col + argmax path.  The result is
-    C-contiguous.
+    C-contiguous.  :class:`~repro.nn.layers.pooling.MaxPool2D` compares each
+    window-element view against it to find the first-match winners, kept as
+    ``uint32`` word masks (``0xFFFFFFFF``/``0``) that its backward ANDs with
+    the gradient's bits.
     """
     height, width = x.shape[-2:]
     if height % kernel or width % kernel:
@@ -155,11 +157,6 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable log-softmax."""
     shifted = logits - np.max(logits, axis=axis, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise rectified linear unit."""
-    return np.maximum(x, 0.0)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -2,11 +2,35 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 import numpy as np
 
 from repro.utils.rng import default_rng
 
 __all__ = ["he_normal", "he_uniform", "xavier_uniform", "xavier_normal", "zeros", "ones"]
+
+_SHAPES_ONLY: ContextVar[bool] = ContextVar("repro_nn_init_shapes_only", default=False)
+
+
+@contextmanager
+def _shapes_only() -> Iterator[None]:
+    """Make :func:`he_normal` return all-zero weights instead of drawing.
+
+    ``Conv2D`` and ``Linear`` built inside have parameters of the right shape
+    and kind but no drawn values.  ``np.zeros`` maps untouched zero pages, so
+    a full-scale model costs neither the draw nor resident memory; the
+    Table I inventory (:mod:`repro.nn.models.table1`) only counts
+    parameters.  The flag is a context variable, so models built on other
+    threads draw as usual.
+    """
+    token = _SHAPES_ONLY.set(True)
+    try:
+        yield
+    finally:
+        _SHAPES_ONLY.reset(token)
 
 
 def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -24,6 +48,8 @@ def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
 
 def he_normal(shape: tuple[int, ...], rng: np.random.Generator | int | None = None) -> np.ndarray:
     """Kaiming-He normal initialization (suited for ReLU networks)."""
+    if _SHAPES_ONLY.get():
+        return zeros(shape)
     rng = default_rng(rng)
     fan_in, _ = _fan_in_out(shape)
     std = np.sqrt(2.0 / fan_in)

@@ -28,10 +28,14 @@ class MaxPool2D(Module):
     every input rank and mode: the ``k*k`` strided window-element views
     combined with elementwise maxima (:func:`repro.nn.functional.window_max`).
     Training additionally keeps ``k*k`` first-match winner masks for the
-    backward.  Ties keep the earliest ``(ky, kx)`` in row-major order, the
-    flat ``argmax`` winner of the im2col path, so values (signed zeros
-    included) *and* gradient routing are bit-identical to it.  Overlapping
-    or padded geometries take the im2col + argmax path.
+    backward, stored as ``uint32`` words (``0xFFFFFFFF`` at a window's
+    winner, ``0`` elsewhere): the backward writes each window plane with one
+    bitwise AND of the gradient's bits against its word, which keeps every
+    bit of a routed gradient (``-0.0`` and NaN payloads included) and gives
+    ``+0.0`` everywhere else.  Ties keep the earliest ``(ky, kx)`` in
+    row-major order, the flat ``argmax`` winner of the im2col path, so values
+    (signed zeros included) *and* gradient routing are bit-identical to it.
+    Overlapping or padded geometries take the im2col + argmax path.
 
     The window backward writes the input gradient in the forward input's
     memory order (a conv activation's channels-last layout stays
@@ -105,7 +109,9 @@ class MaxPool2D(Module):
 
         Mask ``i`` marks the outputs whose earliest maximal window element is
         element ``i``; the masks partition the output, so the backward
-        routes every gradient to exactly one input element.
+        routes every gradient to exactly one input element.  Each mask is
+        kept as ``uint32`` words (all ones at a winner, zero elsewhere) for
+        the backward's bitwise AND.
         """
         out = F.window_max(x, self.kernel_size)
         masks = []
@@ -113,7 +119,8 @@ class MaxPool2D(Module):
         for piece in self._window_slices(x):
             hit = (piece == out) & ~claimed
             claimed |= hit
-            masks.append(hit)
+            # -True wraps to 0xFFFFFFFF in uint32.
+            masks.append(np.negative(hit, dtype=np.uint32))
         # Axes from outermost to innermost in memory (ties keep axis order),
         # so the backward can lay its gradient out like ``x``.
         memory_order = sorted(range(x.ndim), key=lambda axis: -x.strides[axis])
@@ -141,13 +148,18 @@ class MaxPool2D(Module):
         return grad_reshaped.reshape(input_shape)
 
     def _backward_windows(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backward of :meth:`_forward_windows_train`: one write per plane."""
-        masks, input_shape, memory_order = self._window_cache
+        """Backward of :meth:`_forward_windows_train`: one AND per plane.
+
+        ``grad & word`` is the gradient's exact bits at a winner and ``+0.0``
+        elsewhere, written straight into the plane with no temporary.
+        """
+        words, input_shape, memory_order = self._window_cache
         grad_input = np.empty(
             [input_shape[axis] for axis in memory_order], dtype=np.float32
         ).transpose(np.argsort(memory_order))
-        for plane, mask in zip(self._window_slices(grad_input), masks):
-            plane[...] = np.where(mask, grad_output, np.float32(0.0))
+        grad_bits = grad_output.view(np.uint32)
+        for plane, word in zip(self._window_slices(grad_input), words):
+            np.bitwise_and(grad_bits, word, out=plane.view(np.uint32))
         return grad_input
 
     def __repr__(self) -> str:
@@ -238,7 +250,7 @@ class GlobalAvgPool2D(Module):
         height, width = self._input_shape[-2:]
         grad_output = np.asarray(grad_output, dtype=np.float32)
         grad = grad_output[..., None, None] / float(height * width)
-        return np.broadcast_to(grad, self._input_shape).astype(np.float32).copy()
+        return np.broadcast_to(grad, self._input_shape).astype(np.float32, order="C")
 
     def __repr__(self) -> str:
         return "GlobalAvgPool2D()"

@@ -24,12 +24,15 @@ class MnistCNN(Module):
 
     Architecture (full scale, 28x28x1 input):
 
-    ``conv(1→16, 3x3) → ReLU → maxpool(2)`` →
-    ``conv(16→16, 3x3) → ReLU → maxpool(2)`` →
+    ``conv(1→16, 3x3) → maxpool(2) → ReLU`` →
+    ``conv(16→16, 3x3) → maxpool(2) → ReLU`` →
     ``flatten → fc(784→50) → ReLU → fc(50→40) → ReLU → fc(40→10)``
 
     which yields ≈2.5K conv parameters and ≈41.7K FC parameters, matching the
-    44.2K total reported in Table I.
+    44.2K total reported in Table I.  Each conv stage pools before it
+    rectifies: max and ReLU are both monotone, so ``relu(max(x)) ==
+    max(relu(x))`` (up to the sign of a zero) and the gradients agree, while
+    ReLU runs on a quarter of the elements.
 
     Parameters
     ----------
@@ -76,14 +79,14 @@ class MnistCNN(Module):
 
         layers: list[Module] = [
             Conv2D(in_channels, c1, kernel_size=3, padding=1, rng=rng),
-            ReLU(),
             MaxPool2D(2),
+            ReLU(),
         ]
         layers += self._maybe_noise(rng)
         layers += [
             Conv2D(c1, c2, kernel_size=3, padding=1, rng=rng),
-            ReLU(),
             MaxPool2D(2),
+            ReLU(),
         ]
         layers += self._maybe_noise(rng)
         layers += [

@@ -4,13 +4,16 @@ Table I lists, for each CNN workload, the number of CONV layers, CONV
 parameters, FC layers, FC parameters and total parameters.  These functions
 compute the same breakdown directly from a model instance's parameters, and
 :func:`table1_rows` assembles the full table (paper value vs. value computed
-from our full-scale model definitions).
+from our full-scale model definitions).  The full-scale models are built
+with shape-only weights, so counting VGG16's 119.6M FC parameters draws
+none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.nn.init import _shapes_only
 from repro.nn.module import Module
 
 __all__ = [
@@ -120,10 +123,15 @@ def summarize_model(model: Module, dataset: str = "") -> ModelSummary:
 
 
 def full_scale_summary(model_name: str) -> ModelSummary:
-    """Summary of the full-scale (paper configuration) model ``model_name``."""
+    """Summary of the full-scale (paper configuration) model ``model_name``.
+
+    The model is built from layer shapes alone (no weights are drawn), since
+    only its parameter counts are read.
+    """
     from repro.nn.models.registry import build_model
 
-    model = build_model(model_name, profile="paper")
+    with _shapes_only():
+        model = build_model(model_name, profile="paper")
     return summarize_model(model, dataset=_DATASET_BY_MODEL.get(model_name, ""))
 
 

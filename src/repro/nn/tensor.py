@@ -44,7 +44,8 @@ class Parameter:
 
     def __init__(self, data: np.ndarray, name: str = "", kind: str = "other"):
         self.data = np.asarray(data, dtype=np.float32)
-        self.grad = np.zeros_like(self.data)
+        # ``np.zeros`` maps fresh zero pages; ``zeros_like`` would write them.
+        self.grad = np.zeros(self.data.shape, dtype=np.float32)
         self.name = name
         self.kind = kind
         self.stacked: np.ndarray | None = None

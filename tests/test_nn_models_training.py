@@ -106,6 +106,17 @@ class TestTable1:
         for row in rows:
             assert row["measured_total_parameters"] > 0
 
+    @pytest.mark.parametrize("model_name", ["cnn_mnist", "resnet18"])
+    def test_shape_only_summary_matches_drawn_model(self, model_name):
+        """Table I builds its models without drawing weights; the counts are
+        those of the drawn model, and later builds still draw."""
+        drawn = build_model(model_name, profile="paper", rng=0)
+        assert full_scale_summary(model_name) == summarize_model(drawn)
+        rebuilt = build_model(model_name, profile="paper", rng=0)
+        for before, after in zip(drawn.parameters(), rebuilt.parameters()):
+            assert np.array_equal(before.data, after.data)
+        assert np.any(rebuilt.parameters()[0].data)
+
     def test_summarize_model_counts_scaled_model(self):
         model = MnistCNN.scaled_config(rng=0)
         summary = summarize_model(model)
